@@ -12,6 +12,7 @@ and the median, and the signed symmetric/asymmetric variants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 
 from .chains import Chain, ChainElem, ReflChain
 from .correspondences import Corr, TotalFn, inner_product, dual_product, inverse, \
@@ -84,10 +85,10 @@ class CommFn:
         self.values = tuple(self.values)
         if len(self.values) != self.src.size:
             raise DomainError("commensurability table must cover the source chain")
-        for v in self.values:
-            if not 0 <= v < self.dst.size:
-                raise DomainError(f"commensurability value {v} outside {self.dst.id!r}")
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
+        if not 0 <= min(self.values) <= max(self.values) < self.dst.size:
+            v = next(v for v in self.values if not 0 <= v < self.dst.size)
+            raise DomainError(f"commensurability value {v} outside {self.dst.id!r}")
+        if any(map(gt, self.values, self.values[1:])):
             raise DomainError("commensurability function must be increasing")
 
     def __call__(self, p: int) -> int:

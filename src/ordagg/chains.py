@@ -10,12 +10,24 @@ every lattice operation reduces to integer comparisons on ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ChainMismatchError, DomainError
 
-# All algorithms are linear-to-quadratic in chain size; this bound keeps
-# desk-scale guarantees.
+# Spec loading resolves labels through a per-chain index (or the digits
+# themselves on unlabelled chains), so it does not grow with chain size.
+# `inverse`, behind `fan_sugeno`, is still O(M*L) and takes seconds at
+# this size.
 MAX_CHAIN_SIZE = 10_000
+
+
+def _decimal_rank(text: str, size: int) -> int | None:
+    """The rank below `size` whose unlabelled display is `text`, or None."""
+    if text.isascii() and text.isdigit() and len(text) <= len(str(size)):
+        rank = int(text)
+        if rank < size and str(rank) == text:
+            return rank
+    return None
 
 
 @dataclass(frozen=True)
@@ -48,12 +60,15 @@ class Chain:
             return self.labels[rank]
         return str(rank)
 
+    @cached_property
+    def _rank_index(self) -> dict[str, int]:
+        return dict(zip(self.labels, range(self.size)))
+
     def rank_of_label(self, text: str) -> int | None:
         """Resolve a display label back to its rank, or None."""
-        for rank in range(self.size):
-            if self.label(rank) == text:
-                return rank
-        return None
+        if self.labels is None:
+            return _decimal_rank(text, self.size)
+        return self._rank_index.get(text)
 
     def elem(self, rank: int) -> "ChainElem":
         return ChainElem(self, rank)
@@ -142,6 +157,13 @@ class ReflChain:
                 raise DomainError(
                     f"reflection chain {self.id!r}: labels must be pairwise distinct"
                 )
+            reflected = set(labels[1:])
+            for text in labels:
+                if text.startswith("-") and text[1:] in reflected:
+                    raise DomainError(
+                        f"reflection chain {self.id!r}: label {text!r} collides "
+                        f"with the reflection of {text[1:]!r}"
+                    )
 
     @property
     def size(self) -> int:
@@ -151,11 +173,20 @@ class ReflChain:
         base = self.labels[abs(srank)] if self.labels is not None else str(abs(srank))
         return base if srank >= 0 else "-" + base
 
+    @cached_property
+    def _srank_index(self) -> dict[str, int]:
+        n = self.half_size
+        index = dict(zip(self.labels, range(n + 1)))
+        index.update(zip(map("-".__add__, self.labels[1:]), range(-1, -n - 1, -1)))
+        return index
+
     def srank_of_label(self, text: str) -> int | None:
-        for srank in range(-self.half_size, self.half_size + 1):
-            if self.label(srank) == text:
-                return srank
-        return None
+        if self.labels is not None:
+            return self._srank_index.get(text)
+        if text.startswith("-"):
+            rank = _decimal_rank(text[1:], self.half_size + 1)
+            return -rank if rank else None
+        return _decimal_rank(text, self.half_size + 1)
 
     def elem(self, srank: int) -> "ReflElem":
         return ReflElem(self, srank)

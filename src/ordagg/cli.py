@@ -48,18 +48,20 @@ def _pick(table: dict, name: str | None, what: str):
     return table[name]
 
 
-def _measure(sf: SpecFile, args) -> Measure:
-    m = _pick(sf.measures, args.measure, "measure")
+def _total(m: Measure, name: str, extend: str | None) -> Measure:
+    """The measure itself if total, else its --extend extension."""
     if m.is_total():
         return m
-    extend = getattr(args, "extend", None)
     if extend == "inner":
         return inner_extension(m)
     if extend == "outer":
         return outer_extension(m)
-    raise DomainError(
-        f"measure {args.measure!r} is partial; pass --extend inner|outer"
-    )
+    raise DomainError(f"measure {name!r} is partial; pass --extend inner|outer")
+
+
+def _measure(sf: SpecFile, args) -> Measure:
+    m = _pick(sf.measures, args.measure, "measure")
+    return _total(m, args.measure, getattr(args, "extend", None))
 
 
 def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
@@ -259,16 +261,7 @@ def _cmd_oracle_compare(sf: SpecFile, args) -> None:
 
     totals: dict[str, Measure] = {}
     for name, m in sf.measures.items():
-        if not m.is_total():
-            if args.extend == "inner":
-                m = inner_extension(m)
-            elif args.extend == "outer":
-                m = outer_extension(m)
-            else:
-                raise DomainError(
-                    f"measure {name!r} is partial; pass --extend inner|outer"
-                )
-        totals[name] = m
+        m = totals[name] = _total(m, name, args.extend)
         if m.ground.size <= 4:
             report(
                 f"compare=minitive measure={name}",

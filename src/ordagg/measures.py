@@ -9,6 +9,9 @@ the whole set to the top of their scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from operator import gt
 
 from .chains import Chain, ChainElem
 from .errors import DomainError
@@ -40,16 +43,21 @@ class GroundSet:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
+    @cached_property
+    def _bits(self) -> dict[str, int]:
+        return {name: 1 << i for i, name in enumerate(self.elements)}
+
     def index(self, name: str) -> int:
-        try:
-            return self.elements.index(name)
-        except ValueError:
-            raise DomainError(f"unknown ground element {name!r}") from None
+        return self.mask_of((name,)).bit_length() - 1
 
     def mask_of(self, names) -> int:
+        bits = self._bits
         mask = 0
-        for name in names:
-            mask |= 1 << self.index(name)
+        try:
+            for name in names:
+                mask |= bits[name]
+        except KeyError:
+            raise DomainError(f"unknown ground element {name!r}") from None
         return mask
 
     def members(self, mask: int) -> list[str]:
@@ -72,9 +80,9 @@ class SetFamily:
     def __post_init__(self):
         self.members = frozenset(self.members)
         full = self.ground.full_mask
-        for m in self.members:
-            if not 0 <= m <= full:
-                raise DomainError(f"subset mask {m} outside the ground set")
+        if self.members and not 0 <= min(self.members) <= max(self.members) <= full:
+            bad = next(m for m in self.members if not 0 <= m <= full)
+            raise DomainError(f"subset mask {bad} outside the ground set")
         if 0 not in self.members or full not in self.members:
             raise DomainError("set family must contain the empty set and the whole set")
 
@@ -90,9 +98,12 @@ class SetFamily:
 class Measure:
     """A monotone set function into a chain, with fixed endpoints.
 
-    Monotonicity is verified at construction: over the full powerset by a
-    single-element sweep of the subset lattice, over partial families by
-    checking all comparable member pairs.
+    Monotonicity is verified at construction: over the full powerset one
+    bit layer at a time; over a partial family of k members by comparing
+    each member with the largest value below it (a subset-max sweep of the
+    powerset) when k**2 exceeds n * 2**n, else by checking all comparable
+    member pairs.  A failure is reported at the first violating pair of
+    the literal scan, whichever check found it.
     """
 
     family: SetFamily
@@ -101,31 +112,28 @@ class Measure:
 
     def __post_init__(self):
         members = self.family.members
-        if set(self.values) != set(members):
+        if self.values.keys() != members:
             raise DomainError("measure table must cover exactly the set family")
-        for m, v in self.values.items():
-            if not 0 <= v < self.scale.size:
-                raise DomainError(
-                    f"measure value rank {v} outside chain {self.scale.id!r}"
-                )
+        ranks = self.values.values()
+        if not 0 <= min(ranks) <= max(ranks) < self.scale.size:
+            bad = next(v for v in ranks if not 0 <= v < self.scale.size)
+            raise DomainError(f"measure value rank {bad} outside chain {self.scale.id!r}")
         ground = self.family.ground
-        fmt = ground.format_mask
+        n = ground.size
         if self.family.is_full():
-            for a in ground.subsets():
-                va = self.values[a]
-                for i in range(ground.size):
-                    if not a >> i & 1:
-                        b = a | 1 << i
-                        if va > self.values[b]:
-                            raise DomainError(
-                                f"measure not monotone: {fmt(a)} > {fmt(b)}"
-                            )
+            table = list(map(self.values.__getitem__, ground.subsets()))
+            clean = not any(any(map(gt, table[lo], table[hi])) for lo, hi in _bit_layers(n))
+        elif len(members) ** 2 > n << n:
+            table = _spread(self.values, ground, -1)
+            _upper_sweep(table, n)
+            clean = all(table[m] == v for m, v in self.values.items())
         else:
-            ms = sorted(members, key=lambda m: (m.bit_count(), m))
-            for i, a in enumerate(ms):
-                for b in ms[i + 1 :]:
-                    if a & b == a and self.values[a] > self.values[b]:
-                        raise DomainError(f"measure not monotone: {fmt(a)} > {fmt(b)}")
+            clean = False
+        if not clean:
+            pair = _first_violation(self.family, self.values)
+            if pair is not None:
+                a, b = map(ground.format_mask, pair)
+                raise DomainError(f"measure not monotone: {a} > {b}")
         if self.values[0] != 0:
             raise DomainError("measure of the empty set must be the bottom")
         if self.values[ground.full_mask] != self.scale.size - 1:
@@ -149,6 +157,79 @@ class Measure:
         return self.scale.elem(self(mask))
 
 
+def _bit_layers(n: int):
+    """Slice pairs (without, with) over a table indexed by subset mask.
+
+    For each bit in turn, the two slices of a pair list sets lacking the
+    bit and the same sets with it, in matching order; together the pairs
+    of one bit cover the table once.  Each bit takes the slicing with
+    fewer pieces (per offset inside a block, or per block), so the
+    element-wise work on them runs in C.
+    """
+    size = 1 << n
+    for i in range(n):
+        bit = 1 << i
+        span = 2 * bit
+        if bit <= size // span:
+            for j in range(bit):
+                yield slice(j, size, span), slice(bit + j, size, span)
+        else:
+            for base in range(0, size, span):
+                yield slice(base, base + bit), slice(base + bit, base + span)
+
+
+def _upper_sweep(table: list[int], n: int) -> None:
+    """Replace each entry by the max over the entries of its subsets."""
+    for lo, hi in _bit_layers(n):
+        table[hi] = [a if a > b else b for a, b in zip(table[hi], table[lo])]
+
+
+def _lower_sweep(table: list[int], n: int) -> None:
+    """Replace each entry by the min over the entries of its supersets."""
+    for lo, hi in _bit_layers(n):
+        table[lo] = [a if a < b else b for a, b in zip(table[lo], table[hi])]
+
+
+def _spread(values: dict[int, int], ground: GroundSet, fill: int) -> list[int]:
+    """A partial table as a list indexed by subset mask, `fill` elsewhere."""
+    table = [fill] * (ground.full_mask + 1)
+    for mask, v in values.items():
+        table[mask] = v
+    return table
+
+
+def _first_violation(family: SetFamily, values: dict[int, int]) -> tuple[int, int] | None:
+    """The first pair a <= b with values[a] > values[b] in scan order, or None.
+
+    Over the full powerset the scan takes single-element steps from each
+    set in mask order; over a partial family it runs through member pairs
+    ordered by size, then mask.
+    """
+    ground = family.ground
+    if family.is_full():
+        for a in ground.subsets():
+            for i in range(ground.size):
+                b = a | 1 << i
+                if b != a and values[a] > values[b]:
+                    return a, b
+        return None
+    ms = sorted(family.members, key=lambda m: (m.bit_count(), m))
+    for i, a in enumerate(ms):
+        for b in ms[i + 1 :]:
+            if a & b == a and values[a] > values[b]:
+                return a, b
+    return None
+
+
+def _fold_elements(weights: list[int], op, start: int) -> list[int]:
+    """The table over subset masks of `op` folded over the weights of each
+    set's elements, with `start` at the empty set."""
+    table = [start]
+    for w in weights:
+        table += list(map(op, table, repeat(w)))
+    return table
+
+
 def zeta(b: int, a: int, scale: Chain) -> ChainElem:
     """Containment indicator of the subset order: top iff a contains b."""
     return scale.elem(scale.size - 1 if a & b == b else 0)
@@ -162,15 +243,9 @@ def inner_extension(m: Measure) -> Measure:
     lattice (the empty set anchors every chain of subsets).
     """
     ground = m.ground
-    arr = [-1] * (ground.full_mask + 1)
-    for b, v in m.values.items():
-        arr[b] = max(arr[b], v)
-    for i in range(ground.size):
-        bit = 1 << i
-        for a in range(ground.full_mask + 1):
-            if a & bit and arr[a & ~bit] > arr[a]:
-                arr[a] = arr[a & ~bit]
-    return Measure(SetFamily.full(ground), m.scale, dict(enumerate(arr)))
+    table = _spread(m.values, ground, -1)
+    _upper_sweep(table, ground.size)
+    return Measure(SetFamily.full(ground), m.scale, dict(enumerate(table)))
 
 
 def outer_extension(m: Measure) -> Measure:
@@ -180,16 +255,9 @@ def outer_extension(m: Measure) -> Measure:
     containing it (the whole set anchors every chain of supersets).
     """
     ground = m.ground
-    sentinel = m.scale.size
-    arr = [sentinel] * (ground.full_mask + 1)
-    for b, v in m.values.items():
-        arr[b] = min(arr[b], v)
-    for i in range(ground.size):
-        bit = 1 << i
-        for a in range(ground.full_mask, -1, -1):
-            if not a & bit and arr[a | bit] < arr[a]:
-                arr[a] = arr[a | bit]
-    return Measure(SetFamily.full(ground), m.scale, dict(enumerate(arr)))
+    table = _spread(m.values, ground, m.scale.size)
+    _lower_sweep(table, ground.size)
+    return Measure(SetFamily.full(ground), m.scale, dict(enumerate(table)))
 
 
 def _validate_chain_sets(ground: GroundSet, sets) -> list[int]:
@@ -262,28 +330,19 @@ def is_minitive(m: Measure) -> bool:
     _require_total(m, "minitivity check")
     ground = m.ground
     full = ground.full_mask
-    coatom = [m.values[full & ~(1 << i)] for i in range(ground.size)]
-    for a in ground.subsets():
-        if a == full:
-            continue
-        expect = min(coatom[i] for i in range(ground.size) if not a >> i & 1)
-        if m.values[a] != expect:
-            return False
-    return True
+    coatoms = [m.values[full & ~(1 << i)] for i in range(ground.size)]
+    # meets over the elements of each set, read at the complement a = full - c
+    expect = _fold_elements(coatoms, min, m.scale.size)
+    return list(map(m.values.__getitem__, range(full))) == expect[:0:-1]
 
 
 def is_maxitive(m: Measure) -> bool:
     """Whether the measure turns unions into joins (dual check on atoms)."""
     _require_total(m, "maxitivity check")
     ground = m.ground
-    atom = [m.values[1 << i] for i in range(ground.size)]
-    for a in ground.subsets():
-        if a == 0:
-            continue
-        expect = max(atom[i] for i in range(ground.size) if a >> i & 1)
-        if m.values[a] != expect:
-            return False
-    return True
+    atoms = [m.values[1 << i] for i in range(ground.size)]
+    expect = _fold_elements(atoms, max, -1)
+    return list(map(m.values.__getitem__, range(1, ground.full_mask + 1))) == expect[1:]
 
 
 def minitive_chain(m: Measure) -> list[int]:
@@ -297,12 +356,13 @@ def minitive_chain(m: Measure) -> list[int]:
     if not is_minitive(m):
         raise DomainError("measure is not minitive")
     ground = m.ground
+    meet_at = [ground.full_mask] * m.scale.size
+    for b, v in m.values.items():
+        meet_at[v] &= b
     ks = {0, ground.full_mask}
-    for x in range(m.scale.size):
-        k = ground.full_mask
-        for b, v in m.values.items():
-            if v >= x:
-                k &= b
+    k = ground.full_mask
+    for x in reversed(range(m.scale.size)):
+        k &= meet_at[x]
         ks.add(k)
     sets = sorted(ks, key=lambda mask: (mask.bit_count(), mask))
     rebuilt = chain_measure(ground, m.scale, sets, [m.values[s] for s in sets], "lower")

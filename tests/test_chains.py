@@ -93,6 +93,42 @@ class TestReflBasics:
         plain = rc.as_chain()
         assert plain.size == 5 and plain.labels == ("-1", "-0.5", "0", "0.5", "1")
 
+    @pytest.mark.parametrize("labels", [("0", "a", "-a"), ("-b", "a", "b"), ("0", "-1", "1")])
+    def test_colliding_signed_labels_rejected(self, labels):
+        # "-a" would display both the label at rank 2 and the reflection of "a"
+        with pytest.raises(DomainError, match="collides with the reflection"):
+            ReflChain("r", 2, labels)
+
+    def test_dash_label_without_collision(self):
+        # "-0" never displays as a reflection: the reference point is fixed
+        rc = ReflChain("r", 2, ("0", "-0", "x"))
+        assert rc.srank_of_label("-0") == 1
+        assert rc.srank_of_label("--0") == -1
+        assert rc.as_chain().size == 5
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [Chain("u", 7), Chain("l", 4, ("lo", "3", "0", "hi")),
+     ReflChain("ru", 3), ReflChain("rl", 2, ("z", "1", "-0"))],
+    ids=["chain", "labelled-chain", "refl", "labelled-refl"],
+)
+def test_label_index_inverts_label(chain):
+    """The label index agrees with a scan of every rank's display label."""
+    lookup = chain.srank_of_label if isinstance(chain, ReflChain) else chain.rank_of_label
+    ranks = (
+        range(-chain.half_size, chain.half_size + 1)
+        if isinstance(chain, ReflChain)
+        else range(chain.size)
+    )
+    shown = {chain.label(r): r for r in ranks}
+    assert len(shown) == chain.size
+    for text, r in shown.items():
+        assert lookup(text) == r
+    for text in ("", "-", "7", "-7", "03", "-03", " 1", "1 ", "+1", "hi ", "--1", "-z",
+                 "rank:1", "-0", "\u0663", "1" * 5000, "1.0"):
+        assert lookup(text) == shown.get(text)
+
 
 class TestSmallestReflChain:
     """On signed ranks {-1, 0, 1} the operations mirror capped integer

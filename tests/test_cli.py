@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from ordagg.cli import run
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -276,3 +278,70 @@ class TestExitClasses:
 
     def test_missing_file_is_3(self, capsys):
         assert run(["check", "/nonexistent/x.spec"]) == 3
+
+
+# Three-element ground set, labelled scales; each case has several faults,
+# so the pinned message also pins which one is reported first.
+ERR_HEAD = "scale m 4\nlabels m lo mid hi top\nrscale r 2\nlabels r 0 a b\nomega a b c\n"
+ERR_CASES = {
+    "full-table": (
+        "measure mu scale=m kind=table\n  {} lo\n  {a} hi\n  {b} mid\n  {c} top\n"
+        "  {a,b} mid\n  {a,c} hi\n  {b,c} hi\n  {a,b,c} top\n",
+        "line 6: measure 'mu': measure not monotone: {a} > {a,b}",
+    ),
+    "partial-table-large": (
+        "measure mu scale=m kind=table\n  {a} mid\n  {b} top\n  {c} hi\n"
+        "  {a,b} hi\n  {b,c} mid\n",
+        "line 6: measure 'mu': measure not monotone: {b} > {a,b}",
+    ),
+    "partial-table-small": (
+        "measure mu scale=m kind=table\n  {b} top\n  {a,b} hi\n",
+        "line 6: measure 'mu': measure not monotone: {b} > {a,b}",
+    ),
+    "value-label": (
+        "measure mu scale=m kind=table\n  {a} mid\n  {b} huge\n  {c} huger\n",
+        "line 8: value 'huge' is not a label of scale 'm'",
+    ),
+    "signed-value-label": (
+        "function s scale=r\n  a -a\n  b -c\n  c d\n",
+        "line 8: value '-c' is not a label of scale 'r'",
+    ),
+    "subset-element": (
+        "measure mu scale=m kind=table\n  {a} mid\n  { b , z } hi\n  {y} hi\n",
+        "line 8: unknown ground element 'z'",
+    ),
+    "function-element": (
+        "function f scale=m\n  a mid\n  z hi\n  y hi\n",
+        "line 8: unknown ground element 'z'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERR_CASES))
+def test_validation_error_text_is_pinned(case, tmp_path, capsys):
+    body, message = ERR_CASES[case]
+    spec = tmp_path / "bad.spec"
+    spec.write_text(ERR_HEAD + body)
+    assert run(["check", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: {message}\n"
+
+
+def test_colliding_reflection_labels_are_a_validation_error(tmp_path, capsys):
+    # "-a" would print signed rank 2 as the reflection of "a", which parses back as -1
+    spec = tmp_path / "collide.spec"
+    spec.write_text(
+        "scale m 3\nrscale r 2\nlabels r 0 a -a\nomega x y\n"
+        "measure mu scale=m kind=table\n  {x} rank:1\n  {y} rank:1\n"
+        "function f scale=r\n  x a\n  y -a\n"
+        "comm k from=m to=r\n"
+    )
+    message = (
+        "validation error: line 3: reflection chain 'r': label '-a' collides "
+        "with the reflection of 'a'\n"
+    )
+    for argv in (["check", str(spec)],
+                 ["eval", str(spec), "--measure", "mu", "--function", "f", "--comm", "k"]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == message

@@ -1,0 +1,249 @@
+"""Differential tests of the powerset passes in `measures` against their
+literal definitions.
+
+Each pass (the monotonicity checks, both extensions, the minitivity and
+maxitivity classifiers and the defining chain) is run on seeded random
+tables for ground sizes 1..8, each table once as drawn and once with one
+injected fault, and compared with a brute-force enumeration of what the
+pass is defined to compute.
+"""
+
+import random
+
+import pytest
+
+from ordagg import (
+    Chain,
+    DomainError,
+    GroundSet,
+    Measure,
+    SetFamily,
+    inner_extension,
+    is_maxitive,
+    is_minitive,
+    minitive_chain,
+    outer_extension,
+)
+from ordagg.oracle import oracle_lower_chain, oracle_minitive
+
+from helpers import monotone_envelope, rand_chain_measure
+
+SIZES = range(1, 9)
+SCALE = Chain("s", 7)
+TOP = SCALE.size - 1
+TRIALS = 6
+
+
+def ground_of(n: int) -> GroundSet:
+    return GroundSet(tuple(f"e{i}" for i in range(n)))
+
+
+def by_size(masks):
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+def literal_first_violation(ground: GroundSet, values: dict[int, int]):
+    """The first non-monotone pair in the scan order the error reports:
+    single-element steps from each set in mask order over the full
+    powerset, member pairs by size then mask over a partial family."""
+    if len(values) == ground.full_mask + 1:
+        for a in ground.subsets():
+            for i in range(ground.size):
+                b = a | 1 << i
+                if b != a and values[a] > values[b]:
+                    return a, b
+        return None
+    ms = by_size(values)
+    for i, a in enumerate(ms):
+        for b in ms[i + 1 :]:
+            if a & b == a and values[a] > values[b]:
+                return a, b
+    return None
+
+
+def any_violation(values: dict[int, int]) -> bool:
+    """Brute force over all comparable pairs."""
+    return any(
+        a & b == a and va > vb for a, va in values.items() for b, vb in values.items()
+    )
+
+
+def rand_monotone(rng: random.Random, ground: GroundSet) -> dict[int, int]:
+    raw = {a: rng.randrange(SCALE.size) for a in ground.subsets()}
+    return monotone_envelope(ground, raw, TOP)
+
+
+def inject_violation(rng: random.Random, ground: GroundSet, values: dict[int, int]) -> bool:
+    """Raise one set above a member superset, keeping both endpoints; False
+    when the family has no pair that allows it."""
+    full = ground.full_mask
+    pairs = [
+        (a, b) for a in values for b in values
+        if a != b and a & b == a and a != 0 and b != full and values[b] < TOP
+    ]
+    if not pairs:
+        return False
+    a, b = rng.choice(pairs)
+    values[a] = rng.randint(values[b] + 1, TOP)
+    return True
+
+
+def perturb_one(rng: random.Random, ground: GroundSet, values: dict[int, int]) -> None:
+    """Move one inner set to another value its neighbours allow, so the
+    table stays monotone but its classification may change."""
+    bits = [1 << i for i in range(ground.size)]
+    movable = []
+    for a in range(1, ground.full_mask):
+        lo = max(values[a & ~bit] for bit in bits if a & bit)
+        hi = min(values[a | bit] for bit in bits if not a & bit)
+        if lo < hi:
+            movable.append((a, lo, hi))
+    if movable:
+        a, lo, hi = rng.choice(movable)
+        values[a] = rng.choice([v for v in range(lo, hi + 1) if v != values[a]])
+
+
+def check_monotonicity(ground: GroundSet, values: dict[int, int]) -> None:
+    family = SetFamily(ground, frozenset(values))
+    pair = literal_first_violation(ground, values)
+    assert (pair is not None) == any_violation(values)
+    if pair is None:
+        assert Measure(family, SCALE, values).values == values
+        return
+    a, b = map(ground.format_mask, pair)
+    with pytest.raises(DomainError) as err:
+        Measure(family, SCALE, values)
+    assert str(err.value) == f"measure not monotone: {a} > {b}"
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_full_monotonicity_matches_pair_scan(n):
+    rng = random.Random(100 + n)
+    ground = ground_of(n)
+    for _ in range(TRIALS):
+        values = rand_monotone(rng, ground)
+        check_monotonicity(ground, values)
+        if inject_violation(rng, ground, values):
+            check_monotonicity(ground, values)
+
+
+def rand_partial(rng: random.Random, ground: GroundSet, density: float) -> dict[int, int]:
+    total = rand_monotone(rng, ground)
+    keep = {0, ground.full_mask} | {a for a in ground.subsets() if rng.random() < density}
+    return {a: total[a] for a in keep}
+
+
+def test_partial_monotonicity_matches_pair_scan():
+    """Dense families take the subset-max sweep, sparse ones the pair
+    scan; both must agree with brute force and name the same pair."""
+    rng = random.Random(7)
+    paths = set()
+    for n in SIZES:
+        ground = ground_of(n)
+        for density in (0.05, 0.2, 0.5, 0.9):
+            for _ in range(TRIALS):
+                values = rand_partial(rng, ground, density)
+                paths.add(len(values) ** 2 > n << n)
+                check_monotonicity(ground, values)
+                if inject_violation(rng, ground, values):
+                    check_monotonicity(ground, values)
+    assert paths == {False, True}
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_extensions_are_max_and_min_over_members(n):
+    rng = random.Random(200 + n)
+    ground = ground_of(n)
+    for density in (0.1, 0.5):
+        for _ in range(TRIALS):
+            values = rand_partial(rng, ground, density)
+            m = Measure(SetFamily(ground, frozenset(values)), SCALE, values)
+            inner, outer = inner_extension(m), outer_extension(m)
+            for a in ground.subsets():
+                assert inner.values[a] == max(v for b, v in values.items() if b & a == b)
+                assert outer.values[a] == min(v for b, v in values.items() if b & a == a)
+
+
+def pairwise_minitive(ground: GroundSet, values: dict[int, int]) -> bool:
+    return all(
+        values[a & b] == min(values[a], values[b])
+        for a in ground.subsets() for b in ground.subsets()
+    )
+
+
+def pairwise_maxitive(ground: GroundSet, values: dict[int, int]) -> bool:
+    return all(
+        values[a | b] == max(values[a], values[b])
+        for a in ground.subsets() for b in ground.subsets()
+    )
+
+
+def literal_lower_chain(ground: GroundSet, values: dict[int, int]) -> list[int]:
+    """For each scale rank, the intersection of all sets reaching it."""
+    sets = {0, ground.full_mask}
+    for x in range(SCALE.size):
+        k = ground.full_mask
+        for b, v in values.items():
+            if v >= x:
+                k &= b
+        sets.add(k)
+    return by_size(sets)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_minitive_classification_and_chain(n):
+    rng = random.Random(300 + n)
+    ground = ground_of(n)
+    seen = set()
+    for _ in range(TRIALS):
+        m = rand_chain_measure(rng, ground, SCALE, "lower")
+        values = dict(m.values)
+        for _ in range(2):
+            m = Measure(SetFamily.full(ground), SCALE, values)
+            mini = pairwise_minitive(ground, values)
+            seen.add(mini)
+            assert is_minitive(m) == mini
+            if n <= 3:
+                assert oracle_minitive(m) == mini
+                assert oracle_lower_chain(m) == mini
+            if mini:
+                sets = minitive_chain(m)
+                assert sets == literal_lower_chain(ground, values)
+                for a in ground.subsets():
+                    assert values[a] == max(values[c] for c in sets if c & a == c)
+            else:
+                with pytest.raises(DomainError, match="not minitive"):
+                    minitive_chain(m)
+            perturb_one(rng, ground, values)
+    assert True in seen and (n < 2 or False in seen)
+
+
+def test_minitive_matches_oracle_at_four_elements():
+    rng = random.Random(4)
+    ground = ground_of(4)
+    for _ in range(2):
+        values = dict(rand_chain_measure(rng, ground, SCALE, "lower").values)
+        perturb_one(rng, ground, values)
+        m = Measure(SetFamily.full(ground), SCALE, values)
+        assert is_minitive(m) == oracle_minitive(m) == pairwise_minitive(ground, values)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_maxitive_classification(n):
+    rng = random.Random(400 + n)
+    ground = ground_of(n)
+    seen = set()
+    for _ in range(TRIALS):
+        atoms = [rng.randrange(SCALE.size) for _ in range(n)]
+        atoms[rng.randrange(n)] = TOP
+        values = {
+            a: max((atoms[i] for i in range(n) if a >> i & 1), default=0)
+            for a in ground.subsets()
+        }
+        for _ in range(2):
+            m = Measure(SetFamily.full(ground), SCALE, values)
+            maxi = pairwise_maxitive(ground, values)
+            seen.add(maxi)
+            assert is_maxitive(m) == maxi
+            perturb_one(rng, ground, values)
+    assert True in seen and (n < 2 or False in seen)

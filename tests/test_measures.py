@@ -7,6 +7,7 @@ import pytest
 
 from ordagg import (
     Chain,
+    CommFn,
     DomainError,
     GroundSet,
     Measure,
@@ -67,6 +68,18 @@ class TestMeasureConstruction:
     def test_family_mismatch(self):
         with pytest.raises(DomainError):
             Measure(SetFamily.full(G2), C3, {0: 0, 3: 2})
+
+    def test_range_errors_name_the_offender(self):
+        with pytest.raises(DomainError, match="^subset mask 8 outside the ground set$"):
+            SetFamily(G3, frozenset({0, 7, 8}))
+        with pytest.raises(DomainError, match="^measure value rank 5 outside chain 'c3'$"):
+            Measure(SetFamily.full(G2), C3, {0: 0, 1: 5, 2: 1, 3: 2})
+        with pytest.raises(DomainError, match="^measure value rank -1 outside chain 'c3'$"):
+            Measure(SetFamily.full(G2), C3, {0: 0, 1: 1, 2: -1, 3: 2})
+        with pytest.raises(DomainError, match="^commensurability value 4 outside 'c4'$"):
+            CommFn(C3, C4, (0, 4, 3))
+        with pytest.raises(DomainError, match="^commensurability function must be increasing$"):
+            CommFn(C3, C4, (0, 3, 2))
 
 
 class TestZeta:

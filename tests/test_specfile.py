@@ -178,3 +178,59 @@ class TestRoundTrip:
         assert parse(printed) == sf
         # a second round is byte-stable
         assert format_specfile(parse(printed)) == printed
+
+
+def _labelled_spec(n: int, size: int, half: int) -> str:
+    """A spec at ground size n with labelled scales and every kind of
+    labelled table: full and partial measures, a chain measure, plain and
+    signed functions, and comms into a plain chain, a positive half and a
+    whole reflection carrier."""
+    names = [f"e{i}" for i in range(n)]
+    full = (1 << n) - 1
+
+    def subset(mask):
+        return "{" + ",".join(names[i] for i in range(n) if mask >> i & 1) + "}"
+
+    def lab(k):
+        return f"v{k}"
+
+    out = [
+        f"scale m {size}", "labels m " + " ".join(lab(k) for k in range(size)),
+        f"scale l {size}", "labels l " + " ".join(lab(k) for k in range(size)),
+        f"rscale r {half}", "labels r " + " ".join(lab(k) for k in range(half + 1)),
+        "omega " + " ".join(names),
+        "measure mu scale=m kind=table",
+    ]
+    out += [f"  {subset(a)} {lab(a.bit_count() * (size - 1) // n)}" for a in range(full + 1)]
+    out.append("measure part scale=m kind=table")
+    out += [f"  {subset(a)} {lab(a.bit_count() * (size - 1) // n)}" for a in range(0, full, 3)]
+    out.append("measure cl scale=m kind=chain-lower")
+    out += [f"  {subset((1 << k) - 1)} {lab(k * (size - 1) // n)}" for k in range(n + 1)]
+    out.append("function f scale=l")
+    out += [f"  {e} {lab(i * 7 % size)}" for i, e in enumerate(names)]
+    out.append("function s scale=r")
+    out += [f"  {e} {'-' if i % 2 else ''}{lab(i * 5 % (half + 1))}" for i, e in enumerate(names)]
+    out += ["comm id from=m to=l", "comm pos from=m to=r+", "comm whole from=m to=r"]
+    srank = [k * 2 * half // (size - 1) - half for k in range(size)]
+    out += [f"  {lab(k)} {'-' if s < 0 else ''}{lab(abs(s))}" for k, s in enumerate(srank)]
+    return "\n".join(out) + "\n"
+
+
+def test_parse_labels_each_chain_point_at_most_once(monkeypatch):
+    """Label resolution goes through a per-chain index: however many rows a
+    spec has, parsing it computes at most one display label per chain point."""
+    calls = []
+
+    def counted(label):
+        def wrapper(self, k):
+            calls.append(k)
+            return label(self, k)
+        return wrapper
+
+    for cls in (Chain, ReflChain):
+        monkeypatch.setattr(cls, "label", counted(cls.label))
+    sf = parse(_labelled_spec(12, 41, 40))
+    points = sf.scales["m"].size + sf.scales["l"].size + sf.scales["r"].size
+    assert len(sf.measures["mu"].values) == 4096
+    assert sf.comms["whole"].values[-1] == sf.scales["r"].size - 1
+    assert 0 < len(calls) <= points
