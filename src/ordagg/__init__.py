@@ -70,7 +70,6 @@ from .intervals import (
     abs_interval,
     format_interval,
     format_rinterval,
-    leq_via_lemma,
     negative_rinterval,
     neutral_rinterval,
     positive_rinterval,

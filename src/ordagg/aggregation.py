@@ -16,7 +16,7 @@ from operator import gt
 
 from .chains import Chain, ChainElem, ReflChain
 from .correspondences import Corr, TotalFn, inner_product, dual_product, inverse, \
-    saturate, sharp_saturate, unit_corr
+    saturate, sharp_saturate
 from .errors import ChainMismatchError, DomainError
 from .intervals import Half, Interval, RInterval, negative_rinterval, \
     positive_rinterval, refl_interval, svee_intervals
@@ -225,29 +225,25 @@ def fan_sugeno_dual(m: Measure, f: LatticeFn, ell: CommFn, variant: str = SHARP)
 
 
 def sugeno_integral(m: Measure, f: LatticeFn) -> ChainElem:
-    """Join over levels of level meet distribution value.
-
-    Fast path for equal scales and the identity commensurability; agrees
-    with the quantile route.
-    """
+    """Join over levels of level meet distribution value: the upper end of
+    the aggregate for equal scales and the identity commensurability."""
     f = _plain(f)
     _require_total_measure(m)
     if f.scale != m.scale:
         raise ChainMismatchError(
             "the direct integral needs the function and measure scales to coincide"
         )
-    g = distribution(m, f)
-    return m.scale.elem(max(min(x, g(x)) for x in range(m.scale.size)))
+    return fan_sugeno_sup(m, f, CommFn.identity(m.scale))
 
 
 def quantile_functional(m: Measure, f: LatticeFn, p: int) -> Interval:
-    """Aggregate against the unit vector at p: recovers the p-quantile."""
+    """Aggregate against the unit vector at p: recovers the p-quantile,
+    the value of the sharp quantile correspondence at p."""
     f = _plain(f)
     _require_total_measure(m)
     if not 0 <= p < m.scale.size:
         raise DomainError(f"rank {p} outside measure scale {m.scale.id!r}")
-    eps = unit_corr(m.scale.elem(p), f.scale)
-    return inner_product(eps, quantile(m, f, SHARP))
+    return quantile(m, f, SHARP).table[p]
 
 
 def pos_part(f: LatticeFn) -> LatticeFn:

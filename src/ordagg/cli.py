@@ -23,7 +23,7 @@ from .measures import (
     outer_extension,
     verify_chain,
 )
-from .specfile import SpecFile, format_subset, parse, parse_subset
+from .specfile import SpecFile, _rank_number, format_subset, parse, parse_subset
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -183,10 +183,7 @@ def _cmd_quantile(sf: SpecFile, args) -> None:
     if args.p is not None:
         p = m.scale.rank_of_label(args.p)
         if p is None and args.p.startswith("rank:"):
-            try:
-                p = int(args.p[5:])
-            except ValueError:
-                p = None
+            p = _rank_number(args.p[5:])
         if p is None or not 0 <= p < m.scale.size:
             raise DomainError(f"point {args.p!r} is not on scale {m.scale.id!r}")
         print(f"p={m.scale.label(p)} interval={format_interval(q.table[p])}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .chains import Chain, ChainElem
 from .errors import ChainMismatchError, DomainError
-from .intervals import Interval, Rel, sqcup_family, topkis_cmp
+from .intervals import Interval, Rel, sqcup, topkis_cmp
 
 
 @dataclass(eq=True)
@@ -142,13 +142,14 @@ def inverse(c: Corr) -> Corr:
     """Transpose of the graph, indexed by destination ranks.
 
     For monotone input the transpose is interval-valued; a transpose with
-    gaps (possible for non-monotone tables) is rejected.
+    gaps (possible for non-monotone tables) is rejected at its lowest gap.
     """
+    covers: dict[int, list[int]] = {}
+    for x, iv in c.table.items():
+        for y in iv.elements():
+            covers.setdefault(y, []).append(x)
     table: dict[int, Interval] = {}
-    for y in range(c.dst.size):
-        xs = [x for x, iv in c.table.items() if iv.lo <= y <= iv.hi]
-        if not xs:
-            continue
+    for y, xs in sorted(covers.items()):
         lo, hi = min(xs), max(xs)
         if len(xs) != hi - lo + 1:
             raise DomainError(
@@ -212,13 +213,13 @@ def saturate(psi: Corr) -> Corr:
     """
     if not is_decreasing(psi):
         raise DomainError("saturation requires a decreasing correspondence")
-    d = psi.dom()
-    bottom_iv = Interval(psi.dst, 0, 0)
+    acc = Interval(psi.dst, 0, 0)
     table: dict[int, Interval] = {}
-    for x in range(psi.src.size):
-        uppers = [psi.table[u] for u in d if u >= x]
-        table[x] = sqcup_family(uppers) if uppers else bottom_iv
-    return Corr(psi.src, psi.dst, table)
+    for x in range(psi.src.size - 1, -1, -1):
+        if x in psi.table:
+            acc = sqcup(acc, psi.table[x])
+        table[x] = acc
+    return Corr(psi.src, psi.dst, dict(reversed(table.items())))
 
 
 def _decreasing_across_gaps(psi: Corr) -> bool:

@@ -94,39 +94,26 @@ def sqcap(i1: Interval, i2: Interval) -> Interval:
     return Interval(i1.chain, min(i1.lo, i2.lo), min(i1.hi, i2.hi))
 
 
-def sqcup_family(intervals) -> Interval:
-    """Least upper bound of a nonempty family."""
+def _family(intervals, what: str) -> list[Interval]:
+    """The family as a list, checked nonempty and over one chain."""
     ivs = list(intervals)
     if not ivs:
-        raise DomainError("join of an empty interval family")
-    first = ivs[0]
+        raise DomainError(f"{what} of an empty interval family")
     for iv in ivs[1:]:
-        _same_interval_chain(first, iv)
-    return Interval(first.chain, max(iv.lo for iv in ivs), max(iv.hi for iv in ivs))
+        _same_interval_chain(ivs[0], iv)
+    return ivs
+
+
+def sqcup_family(intervals) -> Interval:
+    """Least upper bound of a nonempty family."""
+    ivs = _family(intervals, "join")
+    return Interval(ivs[0].chain, max(iv.lo for iv in ivs), max(iv.hi for iv in ivs))
 
 
 def sqcap_family(intervals) -> Interval:
     """Greatest lower bound of a nonempty family."""
-    ivs = list(intervals)
-    if not ivs:
-        raise DomainError("meet of an empty interval family")
-    first = ivs[0]
-    for iv in ivs[1:]:
-        _same_interval_chain(first, iv)
-    return Interval(first.chain, min(iv.lo for iv in ivs), min(iv.hi for iv in ivs))
-
-
-def leq_via_lemma(i1: Interval, i2: Interval) -> bool:
-    """Element-enumeration characterization of the interval order.
-
-    i1 is below i2 iff every element of i1 has some element of i2 above it
-    and every element of i2 has some element of i1 below it.  Serves as an
-    independent oracle for topkis_cmp.
-    """
-    _same_interval_chain(i1, i2)
-    up = all(any(a1 <= a2 for a2 in i2.elements()) for a1 in i1.elements())
-    down = all(any(b1 <= b2 for b1 in i1.elements()) for b2 in i2.elements())
-    return up and down
+    ivs = _family(intervals, "meet")
+    return Interval(ivs[0].chain, min(iv.lo for iv in ivs), min(iv.hi for iv in ivs))
 
 
 class Half(str, Enum):

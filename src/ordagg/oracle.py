@@ -11,10 +11,10 @@ from __future__ import annotations
 from itertools import product
 
 from .aggregation import CommFn, LatticeFn
-from .chains import Chain
+from .chains import Chain, ChainElem
 from .correspondences import Corr
-from .errors import DomainError
-from .intervals import Interval, Rel
+from .errors import ChainMismatchError, DomainError
+from .intervals import Interval, Rel, _same_interval_chain
 from .measures import Measure
 
 ENUM_BUDGET = 10**6
@@ -29,10 +29,6 @@ def _set_to_interval(chain: Chain, values: set[int]) -> Interval:
 
 def _join_sets(s1: set[int], s2: set[int]) -> set[int]:
     return {max(a, b) for a in s1 for b in s2}
-
-
-def _meet_sets(s1: set[int], s2: set[int]) -> set[int]:
-    return {min(a, b) for a in s1 for b in s2}
 
 
 def oracle_sqcup_family(intervals) -> Interval:
@@ -78,6 +74,36 @@ def oracle_topkis(i1: Interval, i2: Interval) -> Rel:
     if ge:
         return Rel.GREATER
     return Rel.INCOMPARABLE
+
+
+def leq_via_lemma(i1: Interval, i2: Interval) -> bool:
+    """Element-enumeration characterization of the interval order.
+
+    i1 is below i2 iff every element of i1 has some element of i2 above it
+    and every element of i2 has some element of i1 below it.  Serves as an
+    independent oracle for topkis_cmp.
+    """
+    _same_interval_chain(i1, i2)
+    up = all(any(a1 <= a2 for a2 in i2.elements()) for a1 in i1.elements())
+    down = all(any(b1 <= b2 for b1 in i1.elements()) for b2 in i2.elements())
+    return up and down
+
+
+def oracle_inverse(c: Corr) -> Corr:
+    """Transpose of the graph, scanning the whole table once per
+    destination rank; rejects the lowest rank whose preimage has a gap."""
+    table: dict[int, Interval] = {}
+    for y in range(c.dst.size):
+        xs = [x for x, iv in c.table.items() if iv.lo <= y <= iv.hi]
+        if not xs:
+            continue
+        lo, hi = min(xs), max(xs)
+        if len(xs) != hi - lo + 1:
+            raise DomainError(
+                f"transpose at rank {y} is not an interval; input is not monotone"
+            )
+        table[y] = Interval(c.src, lo, hi)
+    return Corr(c.dst, c.src, table)
 
 
 def _literal_product_sets(terms: list[set[int]]) -> set[int]:
@@ -128,6 +154,23 @@ def oracle_fan_sugeno(m: Measure, f: LatticeFn, ell: CommFn, variant: str) -> In
 
     terms = [{min(ell.values[p], v) for v in q[p]} for p in range(msize)]
     return _set_to_interval(f.scale, _literal_product_sets(terms))
+
+
+def oracle_sugeno_integral(m: Measure, f: LatticeFn) -> ChainElem:
+    """Sugeno integral from its definition: the join over levels x of
+    x meet mu({f >= x}), with each level set built element by element."""
+    if f.is_refl():
+        f = f.as_plain()
+    if f.scale != m.scale:
+        raise ChainMismatchError("the Sugeno integral oracle needs equal scales")
+    best = 0
+    for x in range(m.scale.size):
+        mask = 0
+        for i, v in enumerate(f.values):
+            if v >= x:
+                mask |= 1 << i
+        best = max(best, min(x, m.values[mask]))
+    return m.scale.elem(best)
 
 
 def oracle_minitive(m: Measure) -> bool:

@@ -126,13 +126,22 @@ def format_subset(mask: int, ground: GroundSet) -> str:
     return ground.format_mask(mask)
 
 
+def _rank_number(text: str) -> int | None:
+    """The integer whose canonical decimal spelling is `text`, or None:
+    ASCII digits after an optional minus, with no leading zero, `+` or `_`."""
+    try:
+        k = int(text)
+    except ValueError:
+        return None
+    return k if str(k) == text else None
+
+
 def _parse_rank(token: str, scale: Chain | ReflChain, line: int) -> int:
     """Resolve a value token to a rank (signed rank for reflection scales)."""
     if token.startswith("rank:"):
-        try:
-            k = int(token[5:])
-        except ValueError:
-            raise SpecParseError(f"bad rank token {token!r}", line) from None
+        k = _rank_number(token[5:])
+        if k is None:
+            raise SpecParseError(f"bad rank token {token!r}", line)
     else:
         k = (
             scale.srank_of_label(token)

@@ -45,7 +45,6 @@ from ordagg import (
     inverse,
     is_comonotonic,
     is_minitive,
-    leq_via_lemma,
     minitive_chain,
     negate_fn,
     neg_part,
@@ -77,6 +76,7 @@ from ordagg import (
 )
 from ordagg.cli import run as cli_run
 from ordagg.oracle import (
+    leq_via_lemma,
     oracle_fan_sugeno,
     oracle_lower_chain,
     oracle_minitive,

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -313,6 +314,29 @@ class TestSugenoIntegral:
         f = LatticeFn(G2, Chain("other", 11), (6, 2))
         with pytest.raises(DomainError):
             sugeno_integral(e1_measure(), f)
+
+
+class TestLimitCorner:
+    """The functionals at 4 elements and 10,000-point scales, the largest
+    chains allowed.  The 2 s bound is a guard: it must not be raised."""
+
+    def test_each_functional_within_two_seconds(self):
+        rng = random.Random(23)
+        scale = Chain("m", 10_000)
+        ground = GroundSet(tuple("abcd"))
+        mu = rand_measure(rng, ground, scale)
+        f = rand_fn(rng, ground, scale)
+        ident = CommFn.identity(scale)
+        calls = {
+            "fan_sugeno": lambda: fan_sugeno(mu, f, ident),
+            "fan_sugeno_dual": lambda: fan_sugeno_dual(mu, f, ident),
+            "sugeno_integral": lambda: sugeno_integral(mu, f),
+        }
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            took = time.perf_counter() - start
+            assert took < 2.0, f"{name} took {took:.2f} s"
 
 
 class TestDistributionQuantileLaws:

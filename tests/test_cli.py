@@ -257,6 +257,23 @@ class TestExitClasses:
         err = capsys.readouterr().err
         assert "--extend" in err
 
+    @pytest.mark.parametrize("digits", ["1_1", "+1", "05", "٣", "-0"])
+    def test_noncanonical_rank_token(self, digits, tmp_path, capsys):
+        spec = tmp_path / "rank.spec"
+        spec.write_text(
+            "scale m 3\nomega a b\nmeasure mu scale=m kind=table\n"
+            f"  {{a}} rank:{digits}\n",
+            encoding="utf-8",
+        )
+        assert run(["check", str(spec)]) == 1
+        assert f"bad rank token 'rank:{digits}'" in capsys.readouterr().err
+        assert run(
+            ["quantile", E1, "--measure", "mu", "--function", "f",
+             "--p", f"rank:{digits}"]
+        ) == 3
+        err = capsys.readouterr().err
+        assert f"point 'rank:{digits}' is not on scale" in err
+
     def test_partial_measure_with_extend(self, tmp_path, capsys):
         partial = tmp_path / "partial.spec"
         partial.write_text(

@@ -14,7 +14,6 @@ from ordagg import (
     abs_interval,
     format_interval,
     format_rinterval,
-    leq_via_lemma,
     negative_rinterval,
     neutral_rinterval,
     positive_rinterval,
@@ -29,6 +28,7 @@ from ordagg import (
     topkis_cmp,
     topkis_leq,
 )
+from ordagg.oracle import leq_via_lemma
 from helpers import all_intervals
 
 C5 = Chain("c5", 5)

@@ -8,28 +8,34 @@ import pytest
 from ordagg import (
     Chain,
     CommFn,
+    Corr,
     DomainError,
     GroundSet,
     Interval,
     LatticeFn,
     Measure,
     SetFamily,
+    TotalFn,
     fan_sugeno,
+    inverse,
     is_minitive,
     quantile,
     saturate,
     sqcap_family,
     sqcup_family,
+    sugeno_integral,
     topkis_cmp,
     unanimity,
 )
 from ordagg.oracle import (
     oracle_fan_sugeno,
+    oracle_inverse,
     oracle_lower_chain,
     oracle_minitive,
     oracle_saturation,
     oracle_sqcap_family,
     oracle_sqcup_family,
+    oracle_sugeno_integral,
     oracle_topkis,
 )
 from helpers import (
@@ -83,6 +89,68 @@ class TestSaturationOracle:
             sat = saturate(psi)
             for x in range(src.size):
                 assert oracle_saturation(psi, x) == sat.table[x]
+
+
+def _outcome(fn, c):
+    """The result of fn(c), or the text of the DomainError it raises."""
+    try:
+        return fn(c)
+    except DomainError as e:
+        return str(e)
+
+
+class TestInverseOracle:
+    def test_matches_inverse_random(self):
+        rng = random.Random(17)
+        raised = built = 0
+        for _ in range(600):
+            src = Chain("s", rng.randint(1, 8))
+            dst = Chain("d", rng.randint(1, 8))
+            kind = rng.randrange(3)
+            if kind == 0:
+                # a total function, monotone only by chance
+                c = TotalFn(src, dst, rng.choices(range(dst.size), k=src.size)).as_corr()
+            elif kind == 1:
+                c = rand_decreasing_corr(rng, src, dst)
+            else:
+                # arbitrary intervals on a random part of the source
+                dom = [x for x in range(src.size) if rng.random() < 0.7]
+                c = Corr(src, dst, {x: rand_interval(rng, dst) for x in dom})
+            got = _outcome(inverse, c)
+            assert got == _outcome(oracle_inverse, c)
+            if isinstance(got, str):
+                raised += 1
+            else:
+                built += 1
+        assert raised > 100 and built > 100
+
+    def test_reports_lowest_gap(self):
+        c5 = Chain("c5", 5)
+        c = Corr(c5, c5, {0: Interval(c5, 1, 3), 1: Interval(c5, 0, 0),
+                          2: Interval(c5, 1, 3)})
+        with pytest.raises(DomainError, match="at rank 1 "):
+            inverse(c)
+        with pytest.raises(DomainError, match="at rank 1 "):
+            oracle_inverse(c)
+
+
+class TestSugenoIntegralOracle:
+    def test_exhaustive_c4_g2(self):
+        c4 = Chain("c4", 4)
+        for va, vb in itertools.product(range(4), repeat=2):
+            mu = Measure(SetFamily.full(G2), c4, {0: 0, 1: va, 2: vb, 3: 3})
+            for f_vals in itertools.product(range(4), repeat=2):
+                f = LatticeFn(G2, c4, f_vals)
+                assert sugeno_integral(mu, f) == oracle_sugeno_integral(mu, f)
+
+    def test_random(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            ground = GroundSet(tuple("abcde"[: rng.randint(1, 5)]))
+            scale = Chain("l", rng.randint(1, 9))
+            mu = rand_measure(rng, ground, scale)
+            f = rand_fn(rng, ground, scale)
+            assert sugeno_integral(mu, f) == oracle_sugeno_integral(mu, f)
 
 
 def e1_setup():
