@@ -30,6 +30,14 @@ def _decimal_rank(text: str, size: int) -> int | None:
     return None
 
 
+def _rank_token_label(labels: tuple[str, ...]) -> str | None:
+    """The first label spelled like a `rank:<k>` value token, or None: a
+    spec value must never mean both a label and an explicit rank."""
+    if "rank:" not in "".join(labels):  # positive_half() rebuilds a chain per call
+        return None
+    return next((text for text in labels if text.startswith("rank:")), None)
+
+
 @dataclass(frozen=True)
 class Chain:
     """A finite totally ordered scale, identified by name and size."""
@@ -54,6 +62,8 @@ class Chain:
                 )
             if len(set(labels)) != len(labels):
                 raise DomainError(f"chain {self.id!r}: labels must be pairwise distinct")
+            if (text := _rank_token_label(labels)) is not None:
+                raise DomainError(f"chain {self.id!r}: label {text!r} starts with 'rank:'")
 
     def label(self, rank: int) -> str:
         if self.labels is not None:
@@ -156,6 +166,10 @@ class ReflChain:
             if len(set(labels)) != len(labels):
                 raise DomainError(
                     f"reflection chain {self.id!r}: labels must be pairwise distinct"
+                )
+            if (text := _rank_token_label(labels)) is not None:
+                raise DomainError(
+                    f"reflection chain {self.id!r}: label {text!r} starts with 'rank:'"
                 )
             reflected = set(labels[1:])
             for text in labels:

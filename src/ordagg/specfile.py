@@ -84,16 +84,18 @@ def _split_kv(args: list[str], line: int, required: tuple[str, ...]) -> dict[str
 def _collect_blocks(text: str) -> list[_Block]:
     blocks: list[_Block] = []
     current: _Block | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        if line[0] in " \t":
-            if current is None:
-                raise SpecParseError("indented line outside a block", line_no)
-            current.body.append((line_no, line.strip()))
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        if line[:1] in " \t":  # a body line, or blank ("" is in every string)
+            if line := line.strip():
+                if current is None:
+                    raise SpecParseError("indented line outside a block", line_no)
+                current.body.append((line_no, line))
             continue
         tokens = line.split()
+        if not tokens:
+            continue
         kind, args = tokens[0], tokens[1:]
         if kind not in ("scale", "rscale", "labels", "omega", "measure", "function", "comm"):
             raise SpecParseError(f"unknown directive {kind!r}", line_no)
@@ -251,16 +253,38 @@ def _build_ground(builder: _Builder, blocks: list[_Block]) -> None:
         raise SpecValidationError(str(e), b.line) from None
 
 
-def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> list[tuple[int, int, int]]:
-    rows = []
+def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> tuple[list[int], list[int]]:
+    """The masks and ranks of a measure's rows, in order.
+
+    A row spelled `{a,b} label` (one space, no blanks inside the braces,
+    a label or an unlabelled rank) resolves here; any other spelling takes
+    the subset pattern and `_parse_rank`, which raise every row error.  No
+    label starts with `rank:`, so rank tokens always take that path.
+    """
+    bits = ground._bits
+    rank_of = scale._rank_index.get if scale.labels is not None else scale.rank_of_label
+    masks: list[int] = []
+    ranks: list[int] = []
     for line_no, text in b.body:
+        subset, _, value = text.partition("} ")
+        rank = rank_of(value)
+        if rank is not None and subset[:1] == "{":
+            mask = 0
+            for name in subset[1:].split(",") if subset != "{" else ():
+                bit = bits.get(name)
+                if bit is None:
+                    break
+                mask |= bit
+            else:
+                masks.append(mask)
+                ranks.append(rank)
+                continue
         mt = _SUBSET_LINE.match(text)
         if not mt or mt.group(2) is None:
             raise SpecParseError(f"expected `<subset> <value>`, got {text!r}", line_no)
-        mask = parse_subset(mt.group(1), ground, line_no)
-        rank = _parse_rank(mt.group(2), scale, line_no)
-        rows.append((line_no, mask, rank))
-    return rows
+        masks.append(parse_subset(mt.group(1), ground, line_no))
+        ranks.append(_parse_rank(mt.group(2), scale, line_no))
+    return masks, ranks
 
 
 def _build_measure(builder: _Builder, b: _Block) -> None:
@@ -291,14 +315,16 @@ def _build_measure(builder: _Builder, b: _Block) -> None:
             build = unanimity if kind == "unanimity" else co_unanimity
             builder.sf.measures[name] = build(ground, coalition, scale)
             return
-        rows = _measure_rows(b, ground, scale)
-        seen: dict[int, int] = {}
-        for line_no, mask, rank in rows:
-            if mask in seen:
-                raise SpecParseError(
-                    f"duplicate subset {format_subset(mask, ground)}", line_no
-                )
-            seen[mask] = rank
+        masks, ranks = _measure_rows(b, ground, scale)
+        seen = dict(zip(masks, ranks))
+        if len(seen) < len(masks):
+            earlier: set[int] = set()
+            for (line_no, _), mask in zip(b.body, masks):
+                if mask in earlier:
+                    raise SpecParseError(
+                        f"duplicate subset {format_subset(mask, ground)}", line_no
+                    )
+                earlier.add(mask)
         if kind == "table":
             seen.setdefault(0, 0)
             seen.setdefault(ground.full_mask, scale.size - 1)

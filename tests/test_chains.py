@@ -279,3 +279,14 @@ class TestDistance:
             assert d == dist_r(y, x)
         for x, y, z in itertools.product(elems(rc), repeat=3):
             assert dist_r(x, z).srank <= max(dist_r(x, y).srank, dist_r(y, z).srank)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Chain("m", 3, ("lo", "rank:0", "hi")),
+    lambda: Chain("m", 2, ("rank:", "x")),
+    lambda: ReflChain("r", 2, ("0", "a", "rank:1")),
+])
+def test_labels_spelled_like_rank_tokens_rejected(make):
+    # "rank:0" at rank 1 would print a value that parses back as rank 0
+    with pytest.raises(DomainError, match="starts with 'rank:'"):
+        make()

@@ -362,3 +362,19 @@ def test_colliding_reflection_labels_are_a_validation_error(tmp_path, capsys):
                  ["eval", str(spec), "--measure", "mu", "--function", "f", "--comm", "k"]):
         assert run(argv) == 2
         assert capsys.readouterr().err == message
+
+
+def test_labels_spelled_like_rank_tokens_are_a_validation_error(tmp_path, capsys):
+    # "rank:0" at rank 1 would print f(x) as a token that parses back as rank 0
+    spec = tmp_path / "ranklabel.spec"
+    spec.write_text(
+        "scale m 3\nlabels m lo rank:0 hi\nomega x\n"
+        "measure mu scale=m kind=table\n  {x} hi\n"
+        "function f scale=m\n  x rank:1\n"
+    )
+    message = "validation error: line 2: chain 'm': label 'rank:0' starts with 'rank:'\n"
+    for argv in (["check", str(spec)],
+                 ["distribution", str(spec), "--measure", "mu", "--function", "f"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)

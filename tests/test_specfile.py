@@ -234,3 +234,118 @@ def test_parse_labels_each_chain_point_at_most_once(monkeypatch):
     assert len(sf.measures["mu"].values) == 4096
     assert sf.comms["whole"].values[-1] == sf.scales["r"].size - 1
     assert 0 < len(calls) <= points
+
+
+# Measure-table rows under 4-point scales with word labels, digit labels in
+# reverse order, and no labels; the first row is on line 5.  Each case pins
+# the parsed table or the error's class, line and text.
+ROW_HEAD = "scale m 4\nlabels m lo mid hi top\nomega a b c\nmeasure mu scale=m kind=table\n"
+PLAIN_HEAD = "scale m 4\nomega a b c\n\nmeasure mu scale=m kind=table\n"
+DIGIT_HEAD = "scale m 4\nlabels m 3 2 1 0\nomega a b c\nmeasure mu scale=m kind=table\n"
+ROW_CASES = {
+    "spaced-subset": (ROW_HEAD, "  { a , b } hi\n", {0: 0, 3: 2, 7: 3}),
+    "tab-before-value": (ROW_HEAD, "  {a,b}\thi\n", {0: 0, 3: 2, 7: 3}),
+    "two-spaces": (ROW_HEAD, "  {a}  hi\n", {0: 0, 1: 2, 7: 3}),
+    "no-space": (ROW_HEAD, "  {a}hi\n", {0: 0, 1: 2, 7: 3}),
+    "repeated-element": (ROW_HEAD, "  {a,a} mid\n", {0: 0, 1: 1, 7: 3}),
+    "empty-subset": (ROW_HEAD, "  {} lo\n  {c} mid\n", {0: 0, 4: 1, 7: 3}),
+    "trailing-comma": (ROW_HEAD, "  {a,} mid\n",
+                       (SpecValidationError, 5, "unknown ground element ''")),
+    "unknown-element": (ROW_HEAD, "  {a} mid\n  {a,z} mid\n",
+                        (SpecValidationError, 6, "unknown ground element 'z'")),
+    "unknown-label": (ROW_HEAD, "  {a} huge\n",
+                      (SpecValidationError, 5, "value 'huge' is not a label of scale 'm'")),
+    "rank-token": (ROW_HEAD, "  {a} rank:3\n", {0: 0, 1: 3, 7: 3}),
+    "rank-token-padded": (ROW_HEAD, "  {a} rank:05\n",
+                          (SpecParseError, 5, "bad rank token 'rank:05'")),
+    "rank-token-outside": (ROW_HEAD, "  {a} rank:4\n",
+                           (SpecValidationError, 5, "rank 4 outside scale 'm'")),
+    "extra-token": (ROW_HEAD, "  {a} mid hi\n",
+                    (SpecParseError, 5, "expected `<subset> <value>`, got '{a} mid hi'")),
+    "missing-value": (ROW_HEAD, "  {a} mid\n  {b}\n",
+                      (SpecParseError, 6, "expected `<subset> <value>`, got '{b}'")),
+    "stray-brace": (ROW_HEAD, "  {a}} mid\n",
+                    (SpecParseError, 5, "expected `<subset> <value>`, got '{a}} mid'")),
+    "no-open-brace": (ROW_HEAD, "  ab} mid\n",
+                      (SpecParseError, 5, "expected `<subset> <value>`, got 'ab} mid'")),
+    "duplicate-subset": (ROW_HEAD, "  {a,b} hi\n  {b} mid\n  {b,a} hi\n  {b} mid\n",
+                         (SpecParseError, 7, "duplicate subset {a,b}")),
+    "comment-after-row": (ROW_HEAD, "  {a} mid # note\n  {b} mid#x\n",
+                          {0: 0, 1: 1, 2: 1, 7: 3}),
+    "blank-in-body": (ROW_HEAD, "  {a} mid\n\n   \n\t\n  {b} mid\n", {0: 0, 1: 1, 2: 1, 7: 3}),
+    "rank-token-digit-labels": (DIGIT_HEAD, "  {a} rank:1\n  {b} 1\n", {0: 0, 1: 1, 2: 2, 7: 3}),
+    "plain-scale": (PLAIN_HEAD, "  {} 0\n  {a,b} 2\n  {c}\t1\n", {0: 0, 3: 2, 4: 1, 7: 3}),
+    "plain-padded-digits": (PLAIN_HEAD, "  {a} 01\n",
+                            (SpecValidationError, 5, "value '01' is not a label of scale 'm'")),
+    "plain-rank-token": (PLAIN_HEAD, "  {a} rank:2\n  {b} rank:0\n  {b} 1\n",
+                         (SpecParseError, 7, "duplicate subset {b}")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_measure_row_spellings_are_pinned(case):
+    head, rows, expected = ROW_CASES[case]
+    if isinstance(expected, dict):
+        assert parse(head + rows).measures["mu"].values == expected
+        return
+    cls, line, message = expected
+    with pytest.raises(cls) as info:
+        parse(head + rows)
+    assert type(info.value) is cls
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("  {a} mid\nscale m 4\n", 1),
+    ("# head\n\n\t{a} mid\nscale m 4\n", 3),
+])
+def test_indented_line_before_any_block(text, line):
+    with pytest.raises(SpecParseError, match="indented line outside a block") as info:
+        parse(text)
+    assert info.value.line == line
+
+
+def test_comment_and_blank_lines_before_any_block_are_skipped():
+    sf = parse("  # note\n \t \n\nscale m 4  # four points\n  \n")
+    assert sf.scales["m"].size == 4
+
+
+def test_canonical_measure_rows_skip_the_general_path(monkeypatch):
+    """The canonical printer's `{a,b} label` rows resolve without the subset
+    pattern: at n = 12 no row of the three printed tables reaches
+    `parse_subset`, and each of k rows respelled another way reaches it
+    exactly once."""
+    from ordagg import specfile
+
+    calls = []
+
+    def counted(token, ground, line=None):
+        calls.append(line)
+        return parse_subset_orig(token, ground, line)
+
+    parse_subset_orig = specfile.parse_subset
+    monkeypatch.setattr(specfile, "parse_subset", counted)
+    sf = parse(_labelled_spec(12, 41, 40))
+    calls.clear()
+    printed = format_specfile(sf)
+    assert parse(printed) == sf
+    assert calls == []
+
+    lines = printed.splitlines(keepends=True)
+    rows = [i for i, line in enumerate(lines) if line.startswith("  {")]
+    assert len(rows) == sum(len(m.values) for m in sf.measures.values()) > 9000
+    respell = [
+        lambda s, v: f"  {{ {', '.join(s[1:-1].split(','))} }} {v}\n",
+        lambda s, v: f"  {s}\t{v}\n",
+        lambda s, v: f"  {s}  {v}\n",
+        lambda s, v: f"  {s}{v}\n",
+        lambda s, v: f"  {s} rank:{int(v[1:])}\n",
+    ]
+    picked = rows[1::2000]
+    assert len(picked) == len(respell)
+    for i, how in zip(picked, respell):
+        subset, value = lines[i].split()
+        lines[i] = how(subset, value)
+    assert parse("".join(lines)) == sf
+    assert sorted(calls) == [i + 1 for i in picked]
