@@ -43,11 +43,7 @@ class LatticeFn:
         self.values = tuple(self.values)
         if len(self.values) != self.ground.size:
             raise DomainError("function table must cover the whole ground set")
-        if self.is_refl():
-            n = self.scale.half_size
-            lo, hi = -n, n
-        else:
-            lo, hi = 0, self.scale.size - 1
+        lo, hi = self.scale.rank_range
         for v in self.values:
             if not lo <= v <= hi:
                 raise DomainError(f"function value {v} outside scale {self.scale.id!r}")
@@ -111,11 +107,8 @@ class CommFn:
 
 def level_set(f: LatticeFn, x: int, strict: bool = False) -> int:
     """Bitmask of the upper level set at threshold x."""
-    if f.is_refl():
-        n = f.scale.half_size
-        if not -n <= x <= n:
-            raise DomainError(f"level {x} outside scale {f.scale.id!r}")
-    elif not 0 <= x < f.scale.size:
+    lo, hi = f.scale.rank_range
+    if not lo <= x <= hi:
         raise DomainError(f"level {x} outside scale {f.scale.id!r}")
     mask = 0
     for i, v in enumerate(f.values):
@@ -126,13 +119,9 @@ def level_set(f: LatticeFn, x: int, strict: bool = False) -> int:
 
 def level_chain(f: LatticeFn) -> list[int]:
     """The nested family of upper level sets, largest first."""
-    if f.is_refl():
-        n = f.scale.half_size
-        levels = range(-n, n + 1)
-    else:
-        levels = range(f.scale.size)
+    lo, hi = f.scale.rank_range
     seen: list[int] = []
-    for x in levels:
+    for x in range(lo, hi + 1):
         mask = level_set(f, x)
         if not seen or seen[-1] != mask:
             seen.append(mask)
@@ -160,13 +149,9 @@ def _require_total_measure(m: Measure) -> None:
         )
 
 
-def _plain(f: LatticeFn) -> LatticeFn:
-    return f.as_plain() if f.is_refl() else f
-
-
 def distribution(m: Measure, f: LatticeFn) -> TotalFn:
     """Measure of the upper level sets: a total decreasing function."""
-    f = _plain(f)
+    f = f.as_plain()
     _require_total_measure(m)
     if m.ground != f.ground:
         raise ChainMismatchError("measure and function live on different ground sets")
@@ -206,7 +191,7 @@ def _check_comm(m: Measure, f: LatticeFn, ell: CommFn) -> None:
 def fan_sugeno(m: Measure, f: LatticeFn, ell: CommFn, variant: str = SHARP) -> Interval:
     """Inner product of the commensurability function with the quantile
     correspondence: the interval-valued aggregate of f."""
-    f = _plain(f)
+    f = f.as_plain()
     _check_comm(m, f, ell)
     return inner_product(ell.as_corr(), quantile(m, f, variant))
 
@@ -219,7 +204,7 @@ def fan_sugeno_sup(m: Measure, f: LatticeFn, ell: CommFn, variant: str = SHARP) 
 
 def fan_sugeno_dual(m: Measure, f: LatticeFn, ell: CommFn, variant: str = SHARP) -> Interval:
     """Dual-product counterpart of the aggregate."""
-    f = _plain(f)
+    f = f.as_plain()
     _check_comm(m, f, ell)
     return dual_product(ell.as_corr(), quantile(m, f, variant))
 
@@ -227,7 +212,7 @@ def fan_sugeno_dual(m: Measure, f: LatticeFn, ell: CommFn, variant: str = SHARP)
 def sugeno_integral(m: Measure, f: LatticeFn) -> ChainElem:
     """Join over levels of level meet distribution value: the upper end of
     the aggregate for equal scales and the identity commensurability."""
-    f = _plain(f)
+    f = f.as_plain()
     _require_total_measure(m)
     if f.scale != m.scale:
         raise ChainMismatchError(
@@ -239,7 +224,7 @@ def sugeno_integral(m: Measure, f: LatticeFn) -> ChainElem:
 def quantile_functional(m: Measure, f: LatticeFn, p: int) -> Interval:
     """Aggregate against the unit vector at p: recovers the p-quantile,
     the value of the sharp quantile correspondence at p."""
-    f = _plain(f)
+    f = f.as_plain()
     _require_total_measure(m)
     if not 0 <= p < m.scale.size:
         raise DomainError(f"rank {p} outside measure scale {m.scale.id!r}")

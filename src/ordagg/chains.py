@@ -30,12 +30,14 @@ def _decimal_rank(text: str, size: int) -> int | None:
     return None
 
 
-def _rank_token_label(labels: tuple[str, ...]) -> str | None:
-    """The first label spelled like a `rank:<k>` value token, or None: a
-    spec value must never mean both a label and an explicit rank."""
-    if "rank:" not in "".join(labels):  # positive_half() rebuilds a chain per call
-        return None
-    return next((text for text in labels if text.startswith("rank:")), None)
+def _check_labels(what: str, labels: tuple[str, ...]) -> None:
+    """Labels are pairwise distinct, and none is spelled like a `rank:<k>`
+    value token: a spec value must never mean both a label and a rank."""
+    if len(set(labels)) != len(labels):
+        raise DomainError(f"{what}: labels must be pairwise distinct")
+    for text in labels:
+        if text.startswith("rank:"):
+            raise DomainError(f"{what}: label {text!r} starts with 'rank:'")
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,12 @@ class Chain:
                 raise DomainError(
                     f"chain {self.id!r}: expected {self.size} labels, got {len(labels)}"
                 )
-            if len(set(labels)) != len(labels):
-                raise DomainError(f"chain {self.id!r}: labels must be pairwise distinct")
-            if (text := _rank_token_label(labels)) is not None:
-                raise DomainError(f"chain {self.id!r}: label {text!r} starts with 'rank:'")
+            _check_labels(f"chain {self.id!r}", labels)
+
+    @property
+    def rank_range(self) -> tuple[int, int]:
+        """The lowest and the highest rank."""
+        return 0, self.size - 1
 
     def label(self, rank: int) -> str:
         if self.labels is not None:
@@ -163,14 +167,7 @@ class ReflChain:
                     f"reflection chain {self.id!r}: expected {self.half_size + 1} "
                     f"labels for the nonnegative half, got {len(labels)}"
                 )
-            if len(set(labels)) != len(labels):
-                raise DomainError(
-                    f"reflection chain {self.id!r}: labels must be pairwise distinct"
-                )
-            if (text := _rank_token_label(labels)) is not None:
-                raise DomainError(
-                    f"reflection chain {self.id!r}: label {text!r} starts with 'rank:'"
-                )
+            _check_labels(f"reflection chain {self.id!r}", labels)
             reflected = set(labels[1:])
             for text in labels:
                 if text.startswith("-") and text[1:] in reflected:
@@ -183,20 +180,19 @@ class ReflChain:
     def size(self) -> int:
         return 2 * self.half_size + 1
 
+    @property
+    def rank_range(self) -> tuple[int, int]:
+        """The lowest and the highest signed rank."""
+        return -self.half_size, self.half_size
+
     def label(self, srank: int) -> str:
         base = self.labels[abs(srank)] if self.labels is not None else str(abs(srank))
         return base if srank >= 0 else "-" + base
 
-    @cached_property
-    def _srank_index(self) -> dict[str, int]:
-        n = self.half_size
-        index = dict(zip(self.labels, range(n + 1)))
-        index.update(zip(map("-".__add__, self.labels[1:]), range(-1, -n - 1, -1)))
-        return index
-
     def srank_of_label(self, text: str) -> int | None:
         if self.labels is not None:
-            return self._srank_index.get(text)
+            rank = self._carrier._rank_index.get(text)
+            return None if rank is None else rank - self.half_size
         if text.startswith("-"):
             rank = _decimal_rank(text[1:], self.half_size + 1)
             return -rank if rank else None
@@ -205,14 +201,23 @@ class ReflChain:
     def elem(self, srank: int) -> "ReflElem":
         return ReflElem(self, srank)
 
+    # Built on first use and kept on the frozen value: every call returns one chain.
+    @cached_property
+    def _half(self) -> Chain:
+        return Chain(self.id + "+", self.half_size + 1, self.labels)
+
+    @cached_property
+    def _carrier(self) -> Chain:
+        n = self.half_size
+        return Chain(self.id + "#", self.size, tuple(map(self.label, range(-n, n + 1))))
+
     def positive_half(self) -> Chain:
         """The nonnegative half as a chain in its own right."""
-        return Chain(self.id + "+", self.half_size + 1, self.labels)
+        return self._half
 
     def as_chain(self) -> Chain:
         """The whole carrier viewed as a plain chain of size 2n+1."""
-        labels = tuple(self.label(s) for s in range(-self.half_size, self.half_size + 1))
-        return Chain(self.id + "#", self.size, labels)
+        return self._carrier
 
 
 @dataclass(frozen=True)

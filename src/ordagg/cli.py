@@ -162,10 +162,9 @@ def _cmd_chain_verify(sf: SpecFile, args) -> None:
         return
     if args.kind != "lower":
         raise DomainError("deriving a chain without --sets is supported for kind=lower")
-    sets = minitive_chain(m)
+    sets = minitive_chain(m)  # raises unless the chain reproduces m
     shown = "|".join(format_subset(s, m.ground) for s in sets)
-    verified = verify_chain(m, sets, "lower")
-    print(f"chain={shown} verified={str(verified).lower()}")
+    print(f"chain={shown} verified=true")
 
 
 def _cmd_distribution(sf: SpecFile, args) -> None:
@@ -273,7 +272,7 @@ def _cmd_oracle_compare(sf: SpecFile, args) -> None:
         for fname, f in sf.functions.items():
             if f.ground != m.ground:
                 continue
-            fp = f.as_plain() if f.is_refl() else f
+            fp = f.as_plain()
             for cname, ell in sf.comms.items():
                 if ell.src != m.scale or ell.dst != fp.scale:
                     continue

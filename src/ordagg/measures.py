@@ -365,8 +365,7 @@ def minitive_chain(m: Measure) -> list[int]:
         k &= meet_at[x]
         ks.add(k)
     sets = sorted(ks, key=lambda mask: (mask.bit_count(), mask))
-    rebuilt = chain_measure(ground, m.scale, sets, [m.values[s] for s in sets], "lower")
-    if rebuilt.values != m.values:
+    if not verify_chain(m, sets, "lower"):
         raise DomainError("defining chain failed to reproduce the measure")
     return sets
 

@@ -1,9 +1,9 @@
-"""Definition-literal reference implementations used to validate the
-endpoint-formula code paths.
+"""Definition-literal reference implementations used to validate the one
+aggregation route (distribution, inverse, saturation, product).
 
 Everything here recomputes results by enumerating elements, choice
 functions, set families, or candidate chains, sharing only the core data
-types with the optimized implementations.  Slow on purpose.
+types with that route.  Slow on purpose.
 """
 
 from __future__ import annotations

@@ -154,23 +154,15 @@ def _parse_rank(token: str, scale: Chain | ReflChain, line: int) -> int:
             raise SpecValidationError(
                 f"value {token!r} is not a label of scale {scale.id!r}", line
             )
-    if isinstance(scale, ReflChain):
-        if not -scale.half_size <= k <= scale.half_size:
-            raise SpecValidationError(f"rank {k} outside scale {scale.id!r}", line)
-    elif not 0 <= k < scale.size:
+    lo, hi = scale.rank_range
+    if not lo <= k <= hi:
         raise SpecValidationError(f"rank {k} outside scale {scale.id!r}", line)
     return k
-
-
-def _format_rank(k: int, scale: Chain | ReflChain) -> str:
-    return scale.label(k)
 
 
 class _Builder:
     def __init__(self):
         self.sf = SpecFile()
-        self.scale_decls: dict[str, _Block] = {}
-        self.label_decls: dict[str, _Block] = {}
 
     def scale_named(self, name: str, line: int) -> Chain | ReflChain:
         if name not in self.sf.scales:
@@ -453,14 +445,14 @@ def format_specfile(sf: SpecFile) -> str:
         out.append(f"measure {name} scale={scale_name} kind=table")
         for mask in sorted(m.values, key=lambda a: (a.bit_count(), a)):
             out.append(
-                f"  {format_subset(mask, m.ground)} {_format_rank(m.values[mask], m.scale)}"
+                f"  {format_subset(mask, m.ground)} {m.scale.label(m.values[mask])}"
             )
     for name, f in sf.functions.items():
         out.append(f"function {name} scale={f.scale.id}")
         for i, e in enumerate(f.ground.elements):
-            out.append(f"  {e} {_format_rank(f.values[i], f.scale)}")
+            out.append(f"  {e} {f.scale.label(f.values[i])}")
     for name, c in sf.comms.items():
         out.append(f"comm {name} from={c.src.id} to={_comm_target_token(sf, c.dst)}")
         for p in range(c.src.size):
-            out.append(f"  {_format_rank(p, c.src)} {_format_rank(c.values[p], c.dst)}")
+            out.append(f"  {c.src.label(p)} {c.dst.label(c.values[p])}")
     return "\n".join(out) + "\n"

@@ -25,6 +25,7 @@ from ordagg import (
     fan_sugeno_dual,
     fan_sugeno_sup,
     is_comonotonic,
+    kyfan_norm,
     level_chain,
     level_set,
     median,
@@ -32,6 +33,7 @@ from ordagg import (
     negate_fn,
     negative_rinterval,
     neutral_rinterval,
+    ordinal_distance,
     pos_part,
     positive_rinterval,
     quantile,
@@ -763,3 +765,26 @@ class TestAsymmetricFunctional:
         bad_plus = CommFn(m, plain, (1, 3, 4))
         with pytest.raises(DomainError):
             asymmetric_fan_sugeno(mu, f, good_minus, bad_plus)
+
+
+def test_signed_functionals_build_no_chain(monkeypatch):
+    """The positive half and the carrier are built once per reflection
+    scale, so scoring a signed function constructs no chain."""
+    r, m, mu, f, ell = grid5_sym_setup()
+    carrier = r.as_chain()
+    ell_minus = CommFn(m, carrier, (0, 1, 2, 3, 4))
+    ell_plus = CommFn(m, carrier, (4, 5, 6, 7, 8))
+    g = LatticeFn(G2, r, (1, 1))
+    built = []
+    post_init = Chain.__post_init__
+
+    def counted(self):
+        built.append(self.id)
+        post_init(self)
+
+    monkeypatch.setattr(Chain, "__post_init__", counted)
+    symmetric_fan_sugeno(mu, f, ell)
+    asymmetric_fan_sugeno(mu, f, ell_minus, ell_plus)
+    ordinal_distance(mu, ell, f, g)
+    kyfan_norm(mu, f)
+    assert built == []

@@ -290,3 +290,32 @@ def test_labels_spelled_like_rank_tokens_rejected(make):
     # "rank:0" at rank 1 would print a value that parses back as rank 0
     with pytest.raises(DomainError, match="starts with 'rank:'"):
         make()
+
+
+@pytest.mark.parametrize("labels", [None, ("0", "a", "b", "c")], ids=["plain", "labelled"])
+def test_derived_chains_are_built_once(labels):
+    r = ReflChain("r", 3, labels)
+    assert r.positive_half() is r.positive_half()
+    assert r.as_chain() is r.as_chain()
+    assert r.rank_range == (-3, 3)
+    assert r.positive_half().rank_range == (0, 3)
+    assert r.as_chain().rank_range == (0, 6)
+
+
+def test_unlabelled_signed_lookup_computes_no_label(monkeypatch):
+    """Spec loading on an unlabelled reflection scale reads the digits
+    themselves: it neither displays labels nor builds the carrier."""
+    calls = []
+
+    def counted(label):
+        def wrapper(self, k):
+            calls.append(k)
+            return label(self, k)
+        return wrapper
+
+    for cls in (Chain, ReflChain):
+        monkeypatch.setattr(cls, "label", counted(cls.label))
+    r = ReflChain("r", 4999)
+    got = [r.srank_of_label(t) for t in ("0", "4999", "-17", "5000", "-0", "x")]
+    assert got == [0, 4999, -17, None, None, None]
+    assert calls == []

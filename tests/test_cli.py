@@ -195,6 +195,22 @@ class TestCheckAndChains:
                               "--kind", "lower"])
         assert out == "chain={}|{a,b} verified=true\n"
 
+    def test_chain_verify_derive_builds_the_chain_measure_once(self, capsys, monkeypatch):
+        from ordagg import measures
+
+        calls = []
+        chain_measure = measures.chain_measure
+
+        def counted(*args):
+            calls.append(args)
+            return chain_measure(*args)
+
+        monkeypatch.setattr(measures, "chain_measure", counted)
+        out = run_ok(capsys, ["chain-verify", SIGNED, "--measure", "u12",
+                              "--kind", "lower"])
+        assert out == "chain={}|{a,b} verified=true\n"
+        assert len(calls) == 1
+
     def test_chain_verify_sets(self, capsys):
         out = run_ok(
             capsys,
