@@ -54,9 +54,6 @@ class LatticeFn:
     def __call__(self, i: int) -> int:
         return self.values[i]
 
-    def value_of(self, name: str) -> int:
-        return self.values[self.ground.index(name)]
-
     def as_plain(self) -> "LatticeFn":
         """View a reflection-scale function over the carrier as a plain chain."""
         if not self.is_refl():

@@ -96,7 +96,8 @@ class ChainElem:
     rank: int
 
     def __post_init__(self):
-        if not 0 <= self.rank < self.chain.size:
+        lo, hi = self.chain.rank_range
+        if not lo <= self.rank <= hi:
             raise DomainError(
                 f"rank {self.rank} out of range for chain {self.chain.id!r} "
                 f"of size {self.chain.size}"
@@ -228,11 +229,11 @@ class ReflElem:
     srank: int
 
     def __post_init__(self):
-        n = self.chain.half_size
-        if not -n <= self.srank <= n:
+        lo, hi = self.chain.rank_range
+        if not lo <= self.srank <= hi:
             raise DomainError(
                 f"signed rank {self.srank} out of range for reflection chain "
-                f"{self.chain.id!r} of half size {n}"
+                f"{self.chain.id!r} of half size {self.chain.half_size}"
             )
 
     def __str__(self):

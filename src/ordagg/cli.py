@@ -12,7 +12,7 @@ import sys
 
 from . import aggregation as agg
 from . import metrics, oracle
-from .errors import DomainError, SpecParseError, SpecValidationError
+from .errors import DomainError, SpecError, SpecParseError, SpecValidationError
 from .intervals import format_interval, format_rinterval, rinterval_sup
 from .measures import (
     Measure,
@@ -23,7 +23,7 @@ from .measures import (
     outer_extension,
     verify_chain,
 )
-from .specfile import SpecFile, _rank_number, format_subset, parse, parse_subset
+from .specfile import SpecFile, _parse_rank, format_subset, parse, parse_subset
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -179,15 +179,13 @@ def _cmd_quantile(sf: SpecFile, args) -> None:
     m = _measure(sf, args)
     f = _pick(sf.functions, args.function, "function")
     q = agg.quantile(m, f, args.variant)
+    points = range(m.scale.size)
     if args.p is not None:
-        p = m.scale.rank_of_label(args.p)
-        if p is None and args.p.startswith("rank:"):
-            p = _rank_number(args.p[5:])
-        if p is None or not 0 <= p < m.scale.size:
-            raise DomainError(f"point {args.p!r} is not on scale {m.scale.id!r}")
-        print(f"p={m.scale.label(p)} interval={format_interval(q.table[p])}")
-        return
-    for p in range(m.scale.size):
+        try:
+            points = [_parse_rank(args.p, m.scale, None)]
+        except SpecError:
+            raise DomainError(f"point {args.p!r} is not on scale {m.scale.id!r}") from None
+    for p in points:
         print(f"p={m.scale.label(p)} interval={format_interval(q.table[p])}")
 
 

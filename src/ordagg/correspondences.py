@@ -81,12 +81,6 @@ class TotalFn:
         table = {x: Interval(self.dst, v, v) for x, v in enumerate(self.values)}
         return Corr(self.src, self.dst, table)
 
-    def image(self) -> set[int]:
-        return set(self.values)
-
-    def is_surjective(self) -> bool:
-        return len(self.image()) == self.dst.size
-
 
 def _check_corr_pair(c1: Corr, c2: Corr) -> None:
     if c1.src != c2.src:

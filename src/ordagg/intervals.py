@@ -136,8 +136,8 @@ class RInterval:
     hi: int
 
     def __post_init__(self):
-        n = self.chain.half_size
-        if not -n <= self.lo <= self.hi <= n:
+        lo, hi = self.chain.rank_range
+        if not lo <= self.lo <= self.hi <= hi:
             raise DomainError(
                 f"invalid signed endpoints [{self.lo},{self.hi}] for reflection "
                 f"chain {self.chain.id!r}"
@@ -151,9 +151,6 @@ class RInterval:
             raise DomainError("positive-half interval with a negative endpoint")
         if self.half is Half.NEGATIVE and self.hi > 0:
             raise DomainError("negative-half interval with a positive endpoint")
-
-    def is_neutral(self) -> bool:
-        return self.half is Half.NEUTRAL
 
 
 def positive_rinterval(chain: ReflChain, lo: int, hi: int) -> RInterval:

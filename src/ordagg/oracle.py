@@ -128,8 +128,7 @@ def oracle_saturation(psi: Corr, x: int) -> Interval:
 def oracle_fan_sugeno(m: Measure, f: LatticeFn, ell: CommFn, variant: str) -> Interval:
     """Aggregate recomputed from raw definitions: level sets, a literal
     graph transpose, literal saturation, and an enumerated product."""
-    if f.is_refl():
-        f = f.as_plain()
+    f = f.as_plain()
     lsize, msize = f.scale.size, m.scale.size
     g = []
     for x in range(lsize):
@@ -159,8 +158,7 @@ def oracle_fan_sugeno(m: Measure, f: LatticeFn, ell: CommFn, variant: str) -> In
 def oracle_sugeno_integral(m: Measure, f: LatticeFn) -> ChainElem:
     """Sugeno integral from its definition: the join over levels x of
     x meet mu({f >= x}), with each level set built element by element."""
-    if f.is_refl():
-        f = f.as_plain()
+    f = f.as_plain()
     if f.scale != m.scale:
         raise ChainMismatchError("the Sugeno integral oracle needs equal scales")
     best = 0

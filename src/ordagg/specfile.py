@@ -24,6 +24,7 @@ a bare `<rscale>` target the whole carrier as a plain chain.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .aggregation import CommFn, LatticeFn
@@ -138,7 +139,7 @@ def _rank_number(text: str) -> int | None:
     return k if str(k) == text else None
 
 
-def _parse_rank(token: str, scale: Chain | ReflChain, line: int) -> int:
+def _parse_rank(token: str, scale: Chain | ReflChain, line: int | None) -> int:
     """Resolve a value token to a rank (signed rank for reflection scales)."""
     if token.startswith("rank:"):
         k = _rank_number(token[5:])
@@ -160,35 +161,31 @@ def _parse_rank(token: str, scale: Chain | ReflChain, line: int) -> int:
     return k
 
 
-class _Builder:
-    def __init__(self):
-        self.sf = SpecFile()
-
-    def scale_named(self, name: str, line: int) -> Chain | ReflChain:
-        if name not in self.sf.scales:
-            raise SpecValidationError(f"unknown scale {name!r}", line)
-        return self.sf.scales[name]
-
-    def chain_for_comm_target(self, token: str, line: int) -> Chain:
-        if token.endswith("+"):
-            scale = self.scale_named(token[:-1], line)
-            if not isinstance(scale, ReflChain):
-                raise SpecValidationError(
-                    f"{token!r} needs a reflection scale", line
-                )
-            return scale.positive_half()
-        scale = self.scale_named(token, line)
-        if isinstance(scale, ReflChain):
-            return scale.as_chain()
-        return scale
-
-    def require_ground(self, line: int) -> GroundSet:
-        if self.sf.ground is None:
-            raise SpecValidationError("no omega line declares the ground set", line)
-        return self.sf.ground
+def _scale_named(sf: SpecFile, name: str, line: int) -> Chain | ReflChain:
+    if name not in sf.scales:
+        raise SpecValidationError(f"unknown scale {name!r}", line)
+    return sf.scales[name]
 
 
-def _build_scales(builder: _Builder, blocks: list[_Block]) -> None:
+def _comm_target(sf: SpecFile, token: str, line: int) -> Chain:
+    if token.endswith("+"):
+        scale = _scale_named(sf, token[:-1], line)
+        if not isinstance(scale, ReflChain):
+            raise SpecValidationError(f"{token!r} needs a reflection scale", line)
+        return scale.positive_half()
+    scale = _scale_named(sf, token, line)
+    if isinstance(scale, ReflChain):
+        return scale.as_chain()
+    return scale
+
+
+def _require_ground(sf: SpecFile, line: int) -> GroundSet:
+    if sf.ground is None:
+        raise SpecValidationError("no omega line declares the ground set", line)
+    return sf.ground
+
+
+def _build_scales(sf: SpecFile, blocks: list[_Block]) -> None:
     labels: dict[str, _Block] = {}
     for b in blocks:
         if b.kind == "labels":
@@ -208,17 +205,16 @@ def _build_scales(builder: _Builder, blocks: list[_Block]) -> None:
         if name in seen:
             raise SpecParseError(f"duplicate scale name {name!r}", b.line)
         seen.add(name)
-        try:
-            size = int(b.args[1])
-        except ValueError:
-            raise SpecParseError(f"bad size {b.args[1]!r}", b.line) from None
+        size = _rank_number(b.args[1])
+        if size is None:
+            raise SpecParseError(f"bad size {b.args[1]!r}", b.line)
         lb = labels.pop(name, None)
         ltuple = tuple(lb.args[1:]) if lb else None
         try:
             if b.kind == "scale":
-                builder.sf.scales[name] = Chain(name, size, ltuple)
+                sf.scales[name] = Chain(name, size, ltuple)
             else:
-                builder.sf.scales[name] = ReflChain(name, size, ltuple)
+                sf.scales[name] = ReflChain(name, size, ltuple)
         except DomainError as e:
             raise SpecValidationError(str(e), (lb or b).line) from None
     if labels:
@@ -228,7 +224,7 @@ def _build_scales(builder: _Builder, blocks: list[_Block]) -> None:
         )
 
 
-def _build_ground(builder: _Builder, blocks: list[_Block]) -> None:
+def _build_ground(sf: SpecFile, blocks: list[_Block]) -> None:
     omegas = [b for b in blocks if b.kind == "omega"]
     if len(omegas) > 1:
         raise SpecParseError("duplicate omega line", omegas[1].line)
@@ -240,9 +236,44 @@ def _build_ground(builder: _Builder, blocks: list[_Block]) -> None:
     for name in b.args:
         _check_name(name, b.line)
     try:
-        builder.sf.ground = GroundSet(tuple(b.args))
+        sf.ground = GroundSet(tuple(b.args))
     except DomainError as e:
         raise SpecValidationError(str(e), b.line) from None
+
+
+def _header(b: _Block, taken: dict, required: tuple[str, ...]) -> tuple[str, dict[str, str]]:
+    """The name of a measure, function or comm block, not yet in `taken`,
+    and its `key=value` arguments."""
+    if not b.args:
+        raise SpecParseError(f"{b.kind} needs a name", b.line)
+    name = _check_name(b.args[0], b.line)
+    if name in taken:
+        raise SpecParseError(f"duplicate {b.kind} name {name!r}", b.line)
+    return name, _split_kv(b.args[1:], b.line, required)
+
+
+def _rows(
+    b: _Block,
+    scale: Chain | ReflChain,
+    key_word: str,
+    dup_word: str,
+    key_of: Callable[[str, int], int],
+) -> dict[int, int]:
+    """The `<key> <value>` body rows of a function or comm block: each key
+    is `key_of(token, line)`, each value a point of `scale`."""
+    values: dict[int, int] = {}
+    for line_no, text in b.body:
+        parts = text.split()
+        if len(parts) != 2:
+            raise SpecParseError(f"expected `<{key_word}> <value>`, got {text!r}", line_no)
+        try:
+            key = key_of(parts[0], line_no)
+        except DomainError as e:
+            raise SpecValidationError(str(e), line_no) from None
+        if key in values:
+            raise SpecParseError(f"duplicate {dup_word} {parts[0]!r}", line_no)
+        values[key] = _parse_rank(parts[1], scale, line_no)
+    return values
 
 
 def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> tuple[list[int], list[int]]:
@@ -279,19 +310,14 @@ def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> tuple[list[int]
     return masks, ranks
 
 
-def _build_measure(builder: _Builder, b: _Block) -> None:
-    if len(b.args) < 1:
-        raise SpecParseError("measure needs a name", b.line)
-    name = _check_name(b.args[0], b.line)
-    if name in builder.sf.measures:
-        raise SpecParseError(f"duplicate measure name {name!r}", b.line)
-    kv = _split_kv(b.args[1:], b.line, ("scale", "kind"))
+def _build_measure(sf: SpecFile, b: _Block) -> None:
+    name, kv = _header(b, sf.measures, ("scale", "kind"))
     if kv["kind"] not in MEASURE_KINDS:
         raise SpecParseError(f"unknown measure kind {kv['kind']!r}", b.line)
-    scale = builder.scale_named(kv["scale"], b.line)
+    scale = _scale_named(sf, kv["scale"], b.line)
     if isinstance(scale, ReflChain):
         raise SpecValidationError("measures take values in a plain scale", b.line)
-    ground = builder.require_ground(b.line)
+    ground = _require_ground(sf, b.line)
     kind = kv["kind"]
     try:
         if kind in ("unanimity", "co-unanimity"):
@@ -305,7 +331,7 @@ def _build_measure(builder: _Builder, b: _Block) -> None:
                 raise SpecParseError(f"expected a single `<subset>`, got {text!r}", line_no)
             coalition = parse_subset(mt.group(1), ground, line_no)
             build = unanimity if kind == "unanimity" else co_unanimity
-            builder.sf.measures[name] = build(ground, coalition, scale)
+            sf.measures[name] = build(ground, coalition, scale)
             return
         masks, ranks = _measure_rows(b, ground, scale)
         seen = dict(zip(masks, ranks))
@@ -321,78 +347,51 @@ def _build_measure(builder: _Builder, b: _Block) -> None:
             seen.setdefault(0, 0)
             seen.setdefault(ground.full_mask, scale.size - 1)
             family = SetFamily(ground, frozenset(seen))
-            builder.sf.measures[name] = Measure(family, scale, seen)
+            sf.measures[name] = Measure(family, scale, seen)
         else:
             sets = list(seen)
             values = [seen[s] for s in sets]
-            builder.sf.measures[name] = chain_measure(
+            sf.measures[name] = chain_measure(
                 ground, scale, sets, values, "lower" if kind == "chain-lower" else "upper"
             )
     except DomainError as e:
         raise SpecValidationError(f"measure {name!r}: {e}", b.line) from None
 
 
-def _build_function(builder: _Builder, b: _Block) -> None:
-    if len(b.args) < 1:
-        raise SpecParseError("function needs a name", b.line)
-    name = _check_name(b.args[0], b.line)
-    if name in builder.sf.functions:
-        raise SpecParseError(f"duplicate function name {name!r}", b.line)
-    kv = _split_kv(b.args[1:], b.line, ("scale",))
-    scale = builder.scale_named(kv["scale"], b.line)
-    ground = builder.require_ground(b.line)
-    values: dict[int, int] = {}
-    for line_no, text in b.body:
-        parts = text.split()
-        if len(parts) != 2:
-            raise SpecParseError(f"expected `<element> <value>`, got {text!r}", line_no)
-        try:
-            idx = ground.index(parts[0])
-        except DomainError as e:
-            raise SpecValidationError(str(e), line_no) from None
-        if idx in values:
-            raise SpecParseError(f"duplicate element {parts[0]!r}", line_no)
-        values[idx] = _parse_rank(parts[1], scale, line_no)
+def _build_function(sf: SpecFile, b: _Block) -> None:
+    name, kv = _header(b, sf.functions, ("scale",))
+    scale = _scale_named(sf, kv["scale"], b.line)
+    ground = _require_ground(sf, b.line)
+    values = _rows(b, scale, "element", "element", lambda token, _: ground.index(token))
     if len(values) != ground.size:
         missing = [e for i, e in enumerate(ground.elements) if i not in values]
         raise SpecValidationError(
             f"function {name!r} is missing elements: {', '.join(missing)}", b.line
         )
     try:
-        builder.sf.functions[name] = LatticeFn(
+        sf.functions[name] = LatticeFn(
             ground, scale, tuple(values[i] for i in range(ground.size))
         )
     except DomainError as e:
         raise SpecValidationError(f"function {name!r}: {e}", b.line) from None
 
 
-def _build_comm(builder: _Builder, b: _Block) -> None:
-    if len(b.args) < 1:
-        raise SpecParseError("comm needs a name", b.line)
-    name = _check_name(b.args[0], b.line)
-    if name in builder.sf.comms:
-        raise SpecParseError(f"duplicate comm name {name!r}", b.line)
-    kv = _split_kv(b.args[1:], b.line, ("from", "to"))
-    src = builder.scale_named(kv["from"], b.line)
+def _build_comm(sf: SpecFile, b: _Block) -> None:
+    name, kv = _header(b, sf.comms, ("from", "to"))
+    src = _scale_named(sf, kv["from"], b.line)
     if isinstance(src, ReflChain):
         raise SpecValidationError("comm source must be a plain scale", b.line)
-    dst = builder.chain_for_comm_target(kv["to"], b.line)
+    dst = _comm_target(sf, kv["to"], b.line)
     try:
         if not b.body:
-            builder.sf.comms[name] = CommFn.identity(src, dst)
+            sf.comms[name] = CommFn.identity(src, dst)
             return
-        values: dict[int, int] = {}
-        for line_no, text in b.body:
-            parts = text.split()
-            if len(parts) != 2:
-                raise SpecParseError(f"expected `<p> <value>`, got {text!r}", line_no)
-            p = _parse_rank(parts[0], src, line_no)
-            if p in values:
-                raise SpecParseError(f"duplicate source point {parts[0]!r}", line_no)
-            values[p] = _parse_rank(parts[1], dst, line_no)
+        values = _rows(
+            b, dst, "p", "source point", lambda token, line: _parse_rank(token, src, line)
+        )
         if len(values) != src.size:
             raise SpecValidationError(f"comm {name!r} must be total on {src.id!r}", b.line)
-        builder.sf.comms[name] = CommFn(src, dst, tuple(values[p] for p in range(src.size)))
+        sf.comms[name] = CommFn(src, dst, tuple(values[p] for p in range(src.size)))
     except DomainError as e:
         raise SpecValidationError(f"comm {name!r}: {e}", b.line) from None
 
@@ -403,17 +402,17 @@ def parse(text: str) -> SpecFile:
     for b in blocks:
         if b.kind in ("scale", "rscale", "labels", "omega") and b.body:
             raise SpecParseError(f"{b.kind} does not take indented lines", b.body[0][0])
-    builder = _Builder()
-    _build_scales(builder, blocks)
-    _build_ground(builder, blocks)
+    sf = SpecFile()
+    _build_scales(sf, blocks)
+    _build_ground(sf, blocks)
     for b in blocks:
         if b.kind == "measure":
-            _build_measure(builder, b)
+            _build_measure(sf, b)
         elif b.kind == "function":
-            _build_function(builder, b)
+            _build_function(sf, b)
         elif b.kind == "comm":
-            _build_comm(builder, b)
-    return builder.sf
+            _build_comm(sf, b)
+    return sf
 
 
 def _comm_target_token(sf: SpecFile, dst: Chain) -> str:

@@ -290,6 +290,17 @@ class TestExitClasses:
         err = capsys.readouterr().err
         assert f"point 'rank:{digits}' is not on scale" in err
 
+    @pytest.mark.parametrize("kind", ["scale", "rscale"])
+    @pytest.mark.parametrize("digits", ["1_0", "+3", "03", "٣", "-0", "3.0"])
+    def test_noncanonical_scale_size(self, kind, digits, tmp_path, capsys):
+        # sizes follow the rank:<k> rule: ASCII decimals with no sign,
+        # underscore or leading zero, so format_specfile prints them back
+        spec = tmp_path / "size.spec"
+        spec.write_text(f"omega a\n{kind} m {digits}\n", encoding="utf-8")
+        assert run(["check", str(spec)]) == 1
+        message = f"syntax error: line 2: bad size {digits!r}\n"
+        assert capsys.readouterr() == ("", message)
+
     def test_partial_measure_with_extend(self, tmp_path, capsys):
         partial = tmp_path / "partial.spec"
         partial.write_text(
@@ -394,3 +405,139 @@ def test_labels_spelled_like_rank_tokens_are_a_validation_error(tmp_path, capsys
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", message)
+
+
+# Loader errors in the block headers and the `<key> <value>` rows, on the
+# same head as ERR_CASES: (body, exit code, stderr line).  Header errors
+# are reported on the header line, row errors on the row's line; as in
+# ERR_CASES, a case with two faults pins which one is reported first.
+def _header_cases(kind: str, keys: str) -> dict:
+    first = keys.split()[0]
+    return {
+        f"{kind}-no-name": (f"{kind}\n", 1, f"syntax error: line 6: {kind} needs a name"),
+        f"{kind}-invalid-name": (
+            f"{kind} 9x\n", 1, "syntax error: line 6: invalid name '9x'"),
+        f"{kind}-missing-key": (
+            f"{kind} x\n", 1, f"syntax error: line 6: missing {first.split('=')[0]}=..."),
+        f"{kind}-unknown-key": (
+            f"{kind} x {keys} size=3\n", 1, "syntax error: line 6: unknown key 'size'"),
+        f"{kind}-duplicate-key": (
+            f"{kind} x {first} {keys}\n", 1,
+            f"syntax error: line 6: duplicate key {first.split('=')[0]!r}"),
+        f"{kind}-bare-key": (
+            f"{kind} x {keys} scale\n", 1,
+            "syntax error: line 6: expected key=value, got 'scale'"),
+    }
+
+
+LOADER_CASES = {
+    **_header_cases("measure", "scale=m kind=table"),
+    **_header_cases("function", "scale=m"),
+    **_header_cases("comm", "from=m to=m"),
+    "measure-duplicate-name": (
+        "measure mu scale=m kind=table\n  {a} mid\nmeasure mu kind=table\n", 1,
+        "syntax error: line 8: duplicate measure name 'mu'"),
+    "function-duplicate-name": (
+        "function f scale=m\n  a lo\n  b lo\n  c lo\nfunction f\n", 1,
+        "syntax error: line 10: duplicate function name 'f'"),
+    "comm-duplicate-name": (
+        "comm k from=m to=m\ncomm k to=r\n", 1,
+        "syntax error: line 7: duplicate comm name 'k'"),
+    "function-token-count": (
+        "function f scale=m\n  a lo\n  d mid hi\n  c\n", 1,
+        "syntax error: line 8: expected `<element> <value>`, got 'd mid hi'"),
+    "function-unknown-element": (
+        "function f scale=m\n  a lo\n  d lo\n  b huge\n", 2,
+        "validation error: line 8: unknown ground element 'd'"),
+    "function-duplicate-element": (
+        "function f scale=m\n  a lo\n  b lo\n  a huge\n", 1,
+        "syntax error: line 9: duplicate element 'a'"),
+    "function-unknown-label": (
+        "function f scale=m\n  a lo\n  b huge\n  b lo\n", 2,
+        "validation error: line 8: value 'huge' is not a label of scale 'm'"),
+    "function-bad-rank-token": (
+        "function f scale=m\n  a lo\n  b rank:01\n  c huge\n", 1,
+        "syntax error: line 8: bad rank token 'rank:01'"),
+    "function-rank-outside": (
+        "function f scale=r\n  a rank:-2\n  b rank:3\n  c huge\n", 2,
+        "validation error: line 8: rank 3 outside scale 'r'"),
+    "function-missing-elements": (
+        "function f scale=m\n  b lo\n", 2,
+        "validation error: line 6: function 'f' is missing elements: a, c"),
+    "comm-source-refl": (
+        "comm k from=r to=m\n  huge\n", 2,
+        "validation error: line 6: comm source must be a plain scale"),
+    "comm-target-half": (
+        "comm k from=m to=m+\n  huge\n", 2,
+        "validation error: line 6: 'm+' needs a reflection scale"),
+    "comm-token-count": (
+        "comm k from=m to=m\n  lo lo\n  huge\n  lo lo\n", 1,
+        "syntax error: line 8: expected `<p> <value>`, got 'huge'"),
+    "comm-bad-source-label": (
+        "comm k from=m to=m\n  lo lo\n  huge lo\n  lo lo\n", 2,
+        "validation error: line 8: value 'huge' is not a label of scale 'm'"),
+    "comm-bad-source-rank": (
+        "comm k from=m to=m\n  lo lo\n  rank:+1 huge\n", 1,
+        "syntax error: line 8: bad rank token 'rank:+1'"),
+    "comm-duplicate-source": (
+        "comm k from=m to=m\n  lo lo\n  rank:0 huge\n", 1,
+        "syntax error: line 8: duplicate source point 'rank:0'"),
+    "comm-bad-target": (
+        "comm k from=m to=r+\n  lo 0\n  mid top\n", 2,
+        "validation error: line 8: value 'top' is not a label of scale 'r+'"),
+    "comm-not-increasing": (
+        "comm k from=m to=m\n  lo lo\n  mid hi\n  hi mid\n  top top\n", 2,
+        "validation error: line 6: comm 'k': commensurability function must be increasing"),
+    "comm-not-total": (
+        "comm k from=m to=m\n  lo lo\n  hi hi\n  top top\n", 2,
+        "validation error: line 6: comm 'k' must be total on 'm'"),
+    "comm-identity-sizes": (
+        "comm k from=m to=r+\n", 2,
+        "validation error: line 6: comm 'k': identity commensurability needs "
+        "equal sizes: 'm' has 4, 'r+' has 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_CASES))
+def test_loader_error_text_is_pinned(case, tmp_path, capsys):
+    body, code, message = LOADER_CASES[case]
+    spec = tmp_path / "bad.spec"
+    spec.write_text(ERR_HEAD + body)
+    assert run(["check", str(spec)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+
+
+QUANTILE_POINTS = {
+    "0.5": (0, "p=0.5 interval=[0.3,0.6]\n", ""),
+    "rank:5": (0, "p=0.5 interval=[0.3,0.6]\n", ""),
+    "rank:10": (0, "p=1.0 interval=[0.0,0.2]\n", ""),
+    "5": (3, "", "error: point '5' is not on scale 'm'\n"),
+    "0.55": (3, "", "error: point '0.55' is not on scale 'm'\n"),
+    "rank:05": (3, "", "error: point 'rank:05' is not on scale 'm'\n"),
+    "rank:": (3, "", "error: point 'rank:' is not on scale 'm'\n"),
+    "rank:11": (3, "", "error: point 'rank:11' is not on scale 'm'\n"),
+    "rank:-1": (3, "", "error: point 'rank:-1' is not on scale 'm'\n"),
+}
+
+
+@pytest.mark.parametrize("point", sorted(QUANTILE_POINTS))
+def test_quantile_point_text_is_pinned(point, capsys):
+    code, out, err = QUANTILE_POINTS[point]
+    argv = ["quantile", E1, "--measure", "mu", "--function", "f", "--p", point]
+    assert run(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_quantile_point_on_unlabelled_scale(tmp_path, capsys):
+    spec = tmp_path / "plain.spec"
+    spec.write_text(
+        "scale m 3\nomega a\nmeasure mu scale=m kind=table\n"
+        "function f scale=m\n  a 1\n"
+    )
+    argv = ["quantile", str(spec), "--measure", "mu", "--function", "f"]
+    assert run(argv + ["--p", "2"]) == 0
+    assert capsys.readouterr() == ("p=2 interval=[0,1]\n", "")
+    for point in ("3", "02", "rank:3"):
+        assert run(argv + ["--p", point]) == 3
+        assert capsys.readouterr() == ("", f"error: point {point!r} is not on scale 'm'\n")
