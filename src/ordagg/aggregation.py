@@ -27,7 +27,7 @@ PLAIN = "plain"
 VARIANTS = (SHARP, PLAIN)
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class LatticeFn:
     """A total function from a ground set into a chain or reflection chain.
 
@@ -40,7 +40,7 @@ class LatticeFn:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        self.values = tuple(self.values)
+        object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != self.ground.size:
             raise DomainError("function table must cover the whole ground set")
         lo, hi = self.scale.rank_range
@@ -66,7 +66,7 @@ class LatticeFn:
         return cls(ground, scale, (value,) * ground.size)
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class CommFn:
     """An increasing total map relating the measure scale to the function scale."""
 
@@ -75,7 +75,7 @@ class CommFn:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        self.values = tuple(self.values)
+        object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != self.src.size:
             raise DomainError("commensurability table must cover the source chain")
         if not 0 <= min(self.values) <= max(self.values) < self.dst.size:
@@ -152,8 +152,14 @@ def distribution(m: Measure, f: LatticeFn) -> TotalFn:
     _require_total_measure(m)
     if m.ground != f.ground:
         raise ChainMismatchError("measure and function live on different ground sets")
-    values = tuple(m.values[level_set(f, x)] for x in range(f.scale.size))
-    return TotalFn(f.scale, m.scale, values)
+    values = []
+    mask = None
+    for x in range(f.scale.size):
+        level = level_set(f, x)
+        if level != mask:  # read the measure once per distinct level set
+            mask, v = level, m(level)
+        values.append(v)
+    return TotalFn(f.scale, m.scale, tuple(values))
 
 
 def quantile(m: Measure, f: LatticeFn, variant: str = SHARP) -> Corr:

@@ -96,6 +96,10 @@ class ChainElem:
     rank: int
 
     def __post_init__(self):
+        if type(self.rank) is not int:
+            raise DomainError(
+                f"rank {self.rank!r} for chain {self.chain.id!r} is not an integer"
+            )
         lo, hi = self.chain.rank_range
         if not lo <= self.rank <= hi:
             raise DomainError(
@@ -229,6 +233,11 @@ class ReflElem:
     srank: int
 
     def __post_init__(self):
+        if type(self.srank) is not int:
+            raise DomainError(
+                f"signed rank {self.srank!r} for reflection chain {self.chain.id!r} "
+                "is not an integer"
+            )
         lo, hi = self.chain.rank_range
         if not lo <= self.srank <= hi:
             raise DomainError(

@@ -8,10 +8,12 @@ the whole set to the top of their scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import gt
+from types import MappingProxyType
 
 from .chains import Chain, ChainElem
 from .errors import DomainError
@@ -70,7 +72,7 @@ class GroundSet:
         return range(self.full_mask + 1)
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class SetFamily:
     """A family of subsets containing the empty set and the whole set."""
 
@@ -78,7 +80,7 @@ class SetFamily:
     members: frozenset[int]
 
     def __post_init__(self):
-        self.members = frozenset(self.members)
+        object.__setattr__(self, "members", frozenset(self.members))
         full = self.ground.full_mask
         if self.members and not 0 <= min(self.members) <= max(self.members) <= full:
             bad = next(m for m in self.members if not 0 <= m <= full)
@@ -94,50 +96,91 @@ class SetFamily:
         return len(self.members) == self.ground.full_mask + 1
 
 
-@dataclass(eq=True)
 class Measure:
     """A monotone set function into a chain, with fixed endpoints.
 
-    Monotonicity is verified at construction: over the full powerset one
-    bit layer at a time; over a partial family of k members by comparing
-    each member with the largest value below it (a subset-max sweep of the
-    powerset) when k**2 exceeds n * 2**n, else by checking all comparable
-    member pairs.  A failure is reported at the first violating pair of
-    the literal scan, whichever check found it.
+    Frozen.  `Measure(family, scale, values)` copies the table and verifies
+    monotonicity: over the full powerset one bit layer at a time; over a
+    partial family of k members by comparing each member with the largest
+    value below it (a subset-max sweep of the powerset) when k**2 exceeds
+    n * 2**n, else by checking all comparable member pairs.  A failure is
+    reported at the first violating pair of the literal scan, whichever
+    check found it.
+
+    The constructions below (extensions, chain and unanimity measures,
+    the sign collapse) are monotone by construction and carry a closed
+    form instead: calling the measure evaluates it, and `values` builds
+    the table on first read.  Equal family, scale and table make equal
+    measures, however they were built.
     """
 
-    family: SetFamily
-    scale: Chain
-    values: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        members = self.family.members
-        if self.values.keys() != members:
+    def __init__(self, family: SetFamily, scale: Chain, values: Mapping[int, int]):
+        table = dict(values)
+        members = family.members
+        if table.keys() != members:
             raise DomainError("measure table must cover exactly the set family")
-        ranks = self.values.values()
-        if not 0 <= min(ranks) <= max(ranks) < self.scale.size:
-            bad = next(v for v in ranks if not 0 <= v < self.scale.size)
-            raise DomainError(f"measure value rank {bad} outside chain {self.scale.id!r}")
-        ground = self.family.ground
+        ranks = table.values()
+        if not 0 <= min(ranks) <= max(ranks) < scale.size:
+            bad = next(v for v in ranks if not 0 <= v < scale.size)
+            raise DomainError(f"measure value rank {bad} outside chain {scale.id!r}")
+        ground = family.ground
         n = ground.size
-        if self.family.is_full():
-            table = list(map(self.values.__getitem__, ground.subsets()))
-            clean = not any(any(map(gt, table[lo], table[hi])) for lo, hi in _bit_layers(n))
+        if family.is_full():
+            by_mask = list(map(table.__getitem__, ground.subsets()))
+            clean = not any(any(map(gt, by_mask[lo], by_mask[hi])) for lo, hi in _bit_layers(n))
         elif len(members) ** 2 > n << n:
-            table = _spread(self.values, ground, -1)
-            _upper_sweep(table, n)
-            clean = all(table[m] == v for m, v in self.values.items())
+            by_mask = _spread(table, ground, -1)
+            _upper_sweep(by_mask, n)
+            clean = all(by_mask[m] == v for m, v in table.items())
         else:
             clean = False
         if not clean:
-            pair = _first_violation(self.family, self.values)
+            pair = _first_violation(family, table)
             if pair is not None:
                 a, b = map(ground.format_mask, pair)
                 raise DomainError(f"measure not monotone: {a} > {b}")
-        if self.values[0] != 0:
+        if table[0] != 0:
             raise DomainError("measure of the empty set must be the bottom")
-        if self.values[ground.full_mask] != self.scale.size - 1:
+        if table[ground.full_mask] != scale.size - 1:
             raise DomainError("measure of the whole set must be the top")
+        vars(self).update(
+            family=family, scale=scale, _at=table.__getitem__, values=MappingProxyType(table)
+        )
+
+    @classmethod
+    def _closed(cls, family: SetFamily, scale: Chain, at, build) -> "Measure":
+        """A measure monotone by construction: `at(mask)` evaluates it at a
+        member of the family, `build()` returns its whole table."""
+        m = cls.__new__(cls)
+        vars(m).update(family=family, scale=scale, _at=at, _build=build)
+        return m
+
+    @cached_property
+    def values(self) -> Mapping[int, int]:
+        """The table over the family, read-only."""
+        return MappingProxyType(self._build())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Measure):
+            return NotImplemented
+        return (self.family, self.scale) == (other.family, other.scale) and (
+            self.values == other.values
+        )
+
+    def __hash__(self):
+        return hash((self.family, self.scale))
+
+    def __repr__(self):
+        return f"Measure({self.family!r}, {self.scale!r}, {dict(self.values)!r})"
+
+    def __reduce__(self):  # a read-only mapping does not pickle; its table does
+        return Measure, (self.family, self.scale, dict(self.values))
 
     @property
     def ground(self) -> GroundSet:
@@ -147,11 +190,14 @@ class Measure:
         return self.family.is_full()
 
     def __call__(self, mask: int) -> int:
-        if mask not in self.values:
+        family = self.family
+        if not 0 <= mask <= family.ground.full_mask:
+            raise DomainError(f"subset mask {mask} outside the ground set")
+        if not family.is_full() and mask not in family.members:
             raise DomainError(
                 f"subset {self.ground.format_mask(mask)} not in the measure's family"
             )
-        return self.values[mask]
+        return self._at(mask)
 
     def elem(self, mask: int) -> ChainElem:
         return self.scale.elem(self(mask))
@@ -235,17 +281,28 @@ def zeta(b: int, a: int, scale: Chain) -> ChainElem:
     return scale.elem(scale.size - 1 if a & b == b else 0)
 
 
+def _extension(m: Measure, at, fill: int, sweep) -> Measure:
+    """The full-powerset measure evaluated by `at`; its table is m's table
+    spread over the powerset with `fill` elsewhere, then swept."""
+    ground = m.ground
+
+    def build() -> dict[int, int]:
+        table = _spread(m.values, ground, fill)
+        sweep(table, ground.size)
+        return dict(enumerate(table))
+
+    return Measure._closed(SetFamily.full(ground), m.scale, at, build)
+
+
 def inner_extension(m: Measure) -> Measure:
     """Largest-from-below extension to the full powerset.
 
     The value at a set is the join of the measure over family members
-    contained in it, folded one element at a time over the subset
-    lattice (the empty set anchors every chain of subsets).
+    contained in it; the table is that join folded one element at a time
+    over the subset lattice (the empty set anchors every chain of subsets).
     """
-    ground = m.ground
-    table = _spread(m.values, ground, -1)
-    _upper_sweep(table, ground.size)
-    return Measure(SetFamily.full(ground), m.scale, dict(enumerate(table)))
+    items = m.values.items()
+    return _extension(m, lambda a: max(v for b, v in items if b & a == b), -1, _upper_sweep)
 
 
 def outer_extension(m: Measure) -> Measure:
@@ -254,10 +311,23 @@ def outer_extension(m: Measure) -> Measure:
     The value at a set is the meet of the measure over family members
     containing it (the whole set anchors every chain of supersets).
     """
-    ground = m.ground
-    table = _spread(m.values, ground, m.scale.size)
-    _lower_sweep(table, ground.size)
-    return Measure(SetFamily.full(ground), m.scale, dict(enumerate(table)))
+    items = m.values.items()
+    return _extension(
+        m, lambda a: min(v for b, v in items if b & a == a), m.scale.size, _lower_sweep
+    )
+
+
+def _two_valued(family: SetFamily, scale: Chain, high) -> Measure:
+    """Top on the members where the upward-closed predicate `high` holds,
+    bottom elsewhere."""
+    t = scale.size - 1
+    if t and not high(family.ground.full_mask):  # a coalition outside the ground set
+        raise DomainError("measure of the whole set must be the top")
+    return Measure._closed(
+        family, scale,
+        lambda a: t if high(a) else 0,
+        lambda: {a: t if high(a) else 0 for a in family.members},
+    )
 
 
 def _validate_chain_sets(ground: GroundSet, sets) -> list[int]:
@@ -300,18 +370,14 @@ def unanimity(ground: GroundSet, coalition: int, scale: Chain) -> Measure:
     """Top exactly on supersets of the coalition."""
     if coalition == 0:
         raise DomainError("unanimity coalition must be nonempty")
-    t = scale.size - 1
-    values = {a: t if a & coalition == coalition else 0 for a in ground.subsets()}
-    return Measure(SetFamily.full(ground), scale, values)
+    return _two_valued(SetFamily.full(ground), scale, lambda a: a & coalition == coalition)
 
 
 def co_unanimity(ground: GroundSet, coalition: int, scale: Chain) -> Measure:
     """Top exactly on sets meeting the coalition."""
     if coalition == 0:
         raise DomainError("co-unanimity coalition must be nonempty")
-    t = scale.size - 1
-    values = {a: t if a & coalition else 0 for a in ground.subsets()}
-    return Measure(SetFamily.full(ground), scale, values)
+    return _two_valued(SetFamily.full(ground), scale, lambda a: a & coalition != 0)
 
 
 def _require_total(m: Measure, op: str) -> None:
@@ -382,6 +448,5 @@ def verify_chain(m: Measure, sets, kind: str) -> bool:
 
 def sign_measure(m: Measure) -> Measure:
     """Collapse to a two-valued measure: top wherever the value is above bottom."""
-    t = m.scale.size - 1
-    values = {a: t if v > 0 else 0 for a, v in m.values.items()}
-    return Measure(m.family, m.scale, values)
+    at = m._at
+    return _two_valued(m.family, m.scale, lambda a: at(a) > 0)

@@ -1,5 +1,6 @@
 """Definition-literal reference implementations used to validate the one
-aggregation route (distribution, inverse, saturation, product).
+aggregation route (distribution, inverse, saturation, product) and the
+closed forms of constructed measures.
 
 Everything here recomputes results by enumerating elements, choice
 functions, set families, or candidate chains, sharing only the core data
@@ -15,7 +16,7 @@ from .chains import Chain, ChainElem
 from .correspondences import Corr
 from .errors import ChainMismatchError, DomainError
 from .intervals import Interval, Rel, _same_interval_chain
-from .measures import Measure
+from .measures import GroundSet, Measure
 
 ENUM_BUDGET = 10**6
 
@@ -169,6 +170,43 @@ def oracle_sugeno_integral(m: Measure, f: LatticeFn) -> ChainElem:
                 mask |= 1 << i
         best = max(best, min(x, m.values[mask]))
     return m.scale.elem(best)
+
+
+def _elements(ground: GroundSet, mask: int) -> set[str]:
+    return set(ground.members(mask))
+
+
+def oracle_extension(ground: GroundSet, given, kind: str) -> dict[int, int]:
+    """A table over the powerset from `(mask, value)` pairs on some subsets,
+    set by set: for kind "lower" the largest value given on a subset of
+    the set, for "upper" the smallest given on a superset.  Covers the
+    inner and outer extensions and the lower and upper chain measures."""
+    pairs = [(_elements(ground, b), v) for b, v in given]
+    table: dict[int, int] = {}
+    for a in ground.subsets():
+        elems = _elements(ground, a)
+        if kind == "lower":
+            table[a] = max(v for b, v in pairs if b <= elems)
+        else:
+            table[a] = min(v for b, v in pairs if b >= elems)
+    return table
+
+
+def oracle_unanimity(ground: GroundSet, coalition: int, scale: Chain, co: bool) -> dict[int, int]:
+    """Top on the sets that hold every member of the coalition (`co`: some
+    member), bottom elsewhere."""
+    members = _elements(ground, coalition)
+    top = scale.size - 1
+    table: dict[int, int] = {}
+    for a in ground.subsets():
+        elems = _elements(ground, a)
+        table[a] = top if (members & elems if co else members <= elems) else 0
+    return table
+
+
+def oracle_sign_measure(m: Measure) -> dict[int, int]:
+    """Top on the members where the measure is above bottom, bottom elsewhere."""
+    return {a: m.scale.size - 1 if v > 0 else 0 for a, v in m.values.items()}
 
 
 def oracle_minitive(m: Measure) -> bool:

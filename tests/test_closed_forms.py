@@ -1,0 +1,347 @@
+"""Constructed measures in closed form, and frozen values.
+
+Every constructed kind (chain-lower and chain-upper measures, unanimity
+and co-unanimity, both extensions, the sign collapse) is evaluated point
+by point through its closed form and compared with a definition-literal
+oracle and with the table its `values` builds.  At the 16-element limit
+the aggregation functionals must read such a measure only at level sets,
+never building its table.
+"""
+
+import pickle
+import random
+from dataclasses import FrozenInstanceError
+
+import pytest
+
+from ordagg import (
+    Chain,
+    ChainElem,
+    CommFn,
+    DomainError,
+    GroundSet,
+    LatticeFn,
+    Measure,
+    ReflChain,
+    ReflElem,
+    SetFamily,
+    chain_measure,
+    co_unanimity,
+    distribution,
+    fan_sugeno,
+    format_specfile,
+    inner_extension,
+    outer_extension,
+    parse,
+    sign_measure,
+    sugeno_integral,
+    unanimity,
+)
+from ordagg import measures
+from ordagg.cli import run
+from ordagg.oracle import oracle_extension, oracle_sign_measure, oracle_unanimity
+
+from helpers import rand_chain_sets, rand_fn, rand_measure, rand_partial_measure
+
+SIZES = range(1, 7)
+SCALE = Chain("m", 6)
+G2 = GroundSet(("a", "b"))
+
+
+def ground_of(n: int) -> GroundSet:
+    return GroundSet(tuple(f"e{i}" for i in range(n)))
+
+
+def assert_closed(m: Measure, want: dict[int, int]) -> None:
+    """The closed form gives `want` at every member without building the
+    table; the table built afterwards gives it too."""
+    assert "values" not in vars(m)
+    assert {a: m(a) for a in want} == want
+    assert "values" not in vars(m)
+    assert m.values == want
+    assert m.values.keys() == m.family.members
+
+
+def rand_chain_values(rng: random.Random, k: int) -> list[int]:
+    values = sorted(rng.choices(range(SCALE.size), k=k))
+    values[0], values[-1] = 0, SCALE.size - 1
+    return values
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kind", ["lower", "upper"])
+def test_chain_measures_match_the_oracle(n, kind):
+    rng = random.Random(10 * n + (kind == "upper"))
+    ground = ground_of(n)
+    for _ in range(8):
+        sets = rand_chain_sets(rng, ground)
+        values = rand_chain_values(rng, len(sets))
+        m = chain_measure(ground, SCALE, sets, values, kind)
+        assert_closed(m, oracle_extension(ground, zip(sets, values), kind))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_unanimity_kinds_match_the_oracle(n):
+    ground = ground_of(n)
+    for coalition in range(1, ground.full_mask + 1):
+        assert_closed(
+            unanimity(ground, coalition, SCALE), oracle_unanimity(ground, coalition, SCALE, False)
+        )
+        assert_closed(
+            co_unanimity(ground, coalition, SCALE), oracle_unanimity(ground, coalition, SCALE, True)
+        )
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_extensions_of_partial_measures_match_the_oracle(n):
+    rng = random.Random(30 + n)
+    ground = ground_of(n)
+    for _ in range(8):
+        m = rand_partial_measure(rng, ground, SCALE)
+        assert_closed(inner_extension(m), oracle_extension(ground, m.values.items(), "lower"))
+        assert_closed(outer_extension(m), oracle_extension(ground, m.values.items(), "upper"))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_sign_measure_matches_the_oracle(n):
+    rng = random.Random(50 + n)
+    ground = ground_of(n)
+    for _ in range(6):
+        partial = rand_partial_measure(rng, ground, SCALE)
+        full = rand_measure(rng, ground, SCALE)
+        sets = rand_chain_sets(rng, ground)
+        lower = chain_measure(ground, SCALE, sets, rand_chain_values(rng, len(sets)), "lower")
+        for m in (partial, full, inner_extension(partial), lower):
+            want = oracle_sign_measure(Measure(m.family, m.scale, m.values))
+            assert_closed(sign_measure(m), want)
+
+
+def test_closed_and_table_measures_compare_by_value():
+    k = G2.mask_of(("a",))
+    u = unanimity(G2, k, SCALE)
+    table = Measure(u.family, u.scale, {0: 0, 1: 5, 2: 0, 3: 5})
+    assert u == table and table == u
+    assert u == chain_measure(G2, SCALE, [0, k, 3], [0, 5, 5], "lower")
+    assert unanimity(G2, 3, SCALE) != co_unanimity(G2, 3, SCALE)
+    assert hash(u) == hash(table)
+
+
+def test_constructed_kinds_round_trip_as_tables():
+    text = (
+        "scale m 3\nomega a b c\n"
+        "measure lo scale=m kind=chain-lower\n  {} 0\n  {a} 1\n  {a,b} 1\n  {a,b,c} 2\n"
+        "measure up scale=m kind=chain-upper\n  {} 0\n  {b} 1\n  {a,b,c} 2\n"
+        "measure u scale=m kind=unanimity\n  {a,c}\n"
+        "measure cu scale=m kind=co-unanimity\n  {b}\n"
+    )
+    sf = parse(text)
+    back = format_specfile(sf)
+    assert back.count("kind=table") == 4
+    assert parse(back) == sf
+
+
+class TestCallOutsideTheGroundSet:
+    def measures(self):
+        partial = Measure(SetFamily(G2, frozenset({0, 1, 3})), SCALE, {0: 0, 1: 2, 3: 5})
+        full = Measure(SetFamily.full(G2), SCALE, {0: 0, 1: 2, 2: 1, 3: 5})
+        return [
+            partial, full, unanimity(G2, 1, SCALE), co_unanimity(G2, 2, SCALE),
+            chain_measure(G2, SCALE, [0, 1, 3], [0, 2, 5], "lower"),
+            chain_measure(G2, SCALE, [0, 1, 3], [0, 2, 5], "upper"),
+            inner_extension(partial), outer_extension(partial),
+            sign_measure(partial), sign_measure(full),
+        ]
+
+    @pytest.mark.parametrize("mask", [4, 8, -1])
+    def test_mask_outside_is_named(self, mask):
+        for m in self.measures():
+            with pytest.raises(DomainError, match=f"^subset mask {mask} outside the ground set$"):
+                m(mask)
+
+    def test_mask_outside_is_not_evaluated(self):
+        seen = []
+        m = sign_measure(unanimity(G2, 1, SCALE))
+        at = m._at
+        vars(m)["_at"] = lambda a: seen.append(a) or at(a)
+        assert m(3) == 5 and seen == [3]
+        with pytest.raises(DomainError, match="^subset mask 8 outside the ground set$"):
+            m(8)
+        assert seen == [3]
+
+    def test_member_missing_from_a_partial_family(self):
+        partial = Measure(SetFamily(G2, frozenset({0, 1, 3})), SCALE, {0: 0, 1: 2, 3: 5})
+        for m in (partial, sign_measure(partial)):
+            with pytest.raises(DomainError, match=r"^subset \{b\} not in the measure's family$"):
+                m(2)
+
+
+def wide_spec(n: int) -> str:
+    names = [f"e{i}" for i in range(n)]
+    rng = random.Random(16)
+    rows = []
+    for mask in rng.sample(range(1, (1 << n) - 1), 300):
+        members = [names[i] for i in range(n) if mask >> i & 1]
+        rows.append("  {" + ",".join(members) + "} " + str(len(members) * 10 // n))
+    chain = ["  {" + ",".join(names[:k]) + "} " + str(k * 10 // n) for k in range(n + 1)]
+    values = [f"  {e} {rng.randrange(11)}" for e in names]
+    return "\n".join(
+        ["scale m 11", "omega " + " ".join(names),
+         "measure cl scale=m kind=chain-lower", *chain,
+         "measure cu scale=m kind=chain-upper", *chain,
+         "measure un scale=m kind=unanimity", "  {e1,e4,e9}",
+         "measure part scale=m kind=table", *rows,
+         "function f scale=m", *values,
+         "comm id from=m to=m", ""]
+    )
+
+
+@pytest.fixture
+def no_sweeps(monkeypatch):
+    """Fail on any powerset sweep, and record every closed-form measure."""
+    def sweep(*_):
+        raise AssertionError("a constructed measure built its table")
+
+    made = []
+    closed = Measure._closed.__func__
+
+    def recorded(cls, *args):
+        made.append(closed(cls, *args))
+        return made[-1]
+
+    monkeypatch.setattr(measures, "_upper_sweep", sweep)
+    monkeypatch.setattr(measures, "_lower_sweep", sweep)
+    monkeypatch.setattr(Measure, "_closed", classmethod(recorded))
+    return made
+
+
+def test_functionals_at_the_limit_never_build_the_table(no_sweeps):
+    sf = parse(wide_spec(16))
+    f, ell = sf.functions["f"], sf.comms["id"]
+    part = inner_extension(sf.measures["part"])
+    for name in ("cl", "cu", "un"):
+        m = sf.measures[name]
+        fan_sugeno(m, f, ell)
+        distribution(m, f)
+        sugeno_integral(m, f)
+    fan_sugeno(part, f, ell, "plain")
+    distribution(part, f)
+    sign = sign_measure(sf.measures["cl"])
+    sugeno_integral(sign, f)
+    assert len(no_sweeps) == 5
+    assert all("values" not in vars(m) for m in no_sweeps)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--measure", "cl", "--function", "f", "--comm", "id"],
+    ["eval", "--measure", "un", "--function", "f", "--comm", "id", "--variant", "plain"],
+    ["eval", "--measure", "part", "--extend", "inner", "--function", "f", "--comm", "id"],
+    ["distribution", "--measure", "cu", "--function", "f"],
+])
+def test_cli_eval_at_the_limit_never_builds_the_table(argv, tmp_path, capsys, no_sweeps):
+    spec = tmp_path / "wide.spec"
+    spec.write_text(wide_spec(16))
+    assert run([argv[0], str(spec), *argv[1:]]) == 0
+    assert capsys.readouterr().out
+    assert no_sweeps and all("values" not in vars(m) for m in no_sweeps)
+
+
+def test_results_at_the_limit_equal_the_tables():
+    sf = parse(wide_spec(16))
+    f, ell = sf.functions["f"], sf.comms["id"]
+    for m in (sf.measures["cl"], sf.measures["un"], inner_extension(sf.measures["part"])):
+        got = fan_sugeno(m, f, ell), distribution(m, f)
+        table = Measure(m.family, m.scale, m.values)
+        assert got == (fan_sugeno(table, f, ell), distribution(table, f))
+
+
+class TestFrozenValues:
+    def test_assigning_the_table_raises_at_the_assignment(self):
+        mu = Measure(SetFamily.full(G2), SCALE, {0: 0, 1: 3, 2: 1, 3: 5})
+        f = LatticeFn(G2, SCALE, (4, 2))
+        before = sugeno_integral(mu, f)
+        with pytest.raises(FrozenInstanceError):
+            mu.values = {0: 0, 1: 5, 2: 1, 3: 2}
+        with pytest.raises(TypeError):
+            mu.values[1] = 5
+        with pytest.raises(FrozenInstanceError):
+            del mu.values
+        with pytest.raises(FrozenInstanceError):
+            mu.scale = Chain("other", 6)
+        assert sugeno_integral(mu, f) == before
+
+    def test_closed_forms_are_frozen_too(self):
+        u = unanimity(G2, 1, SCALE)
+        with pytest.raises(FrozenInstanceError):
+            u.values = {0: 0, 1: 0, 2: 0, 3: 5}
+        assert u.values == {0: 0, 1: 5, 2: 0, 3: 5}
+        with pytest.raises(TypeError):
+            u.values[1] = 0
+
+    def test_the_callers_table_is_copied(self):
+        values = {0: 0, 1: 3, 2: 1, 3: 5}
+        mu = Measure(SetFamily.full(G2), SCALE, values)
+        values[1] = 5
+        values[3] = 2
+        assert mu.values == {0: 0, 1: 3, 2: 1, 3: 5}
+        assert mu(1) == 3
+        again = Measure(mu.family, mu.scale, mu.values)
+        assert again == mu and again.values is not mu.values
+
+    def test_measures_pickle_as_tables(self):
+        mu = Measure(SetFamily.full(G2), SCALE, {0: 0, 1: 3, 2: 1, 3: 5})
+        for m in (mu, sign_measure(mu), unanimity(G2, 1, SCALE)):
+            back = pickle.loads(pickle.dumps(m))
+            assert back == m and back.values == m.values
+
+    def test_set_family(self):
+        family = SetFamily.full(G2)
+        with pytest.raises(FrozenInstanceError):
+            family.members = frozenset({0, 3})
+        assert hash(family) == hash(SetFamily.full(G2))
+
+    def test_function_and_comm(self):
+        f = LatticeFn(G2, SCALE, [4, 2])
+        ell = CommFn.identity(SCALE)
+        with pytest.raises(FrozenInstanceError):
+            f.values = (0, 0)
+        with pytest.raises(FrozenInstanceError):
+            ell.values = tuple(reversed(ell.values))
+        assert f.values == (4, 2) and ell.values == tuple(range(SCALE.size))
+        assert hash(f) == hash(LatticeFn(G2, SCALE, (4, 2)))
+
+
+class TestElementRanks:
+    CHAIN = Chain("m", 3, ("lo", "mid", "hi"))
+    REFL = ReflChain("r", 2)
+
+    @pytest.mark.parametrize("rank", [0.5, 1.0, True, False, "1", None])
+    def test_chain_elem_rejects_non_integers(self, rank):
+        with pytest.raises(DomainError, match=f"^rank {rank!r} for chain 'm' is not an integer$"):
+            ChainElem(self.CHAIN, rank)
+
+    @pytest.mark.parametrize("srank", [-0.5, 1.0, True, "1"])
+    def test_refl_elem_rejects_non_integers(self, srank):
+        with pytest.raises(
+            DomainError,
+            match=f"^signed rank {srank!r} for reflection chain 'r' is not an integer$",
+        ):
+            ReflElem(self.REFL, srank)
+
+    def test_integers_still_pass(self):
+        assert str(ChainElem(self.CHAIN, 1)) == "mid"
+        assert str(ReflElem(self.REFL, -2)) == "-2"
+        with pytest.raises(DomainError, match="out of range"):
+            ChainElem(self.CHAIN, 3)
+
+
+def test_random_functions_agree_on_closed_and_table_forms():
+    rng = random.Random(70)
+    ell = CommFn.identity(SCALE)
+    for n in SIZES:
+        ground = ground_of(n)
+        partial = rand_partial_measure(rng, ground, SCALE)
+        for m in (inner_extension(partial), outer_extension(partial)):
+            table = Measure(m.family, m.scale, m.values)
+            for _ in range(5):
+                f = rand_fn(rng, ground, SCALE)
+                assert fan_sugeno(m, f, ell, "plain") == fan_sugeno(table, f, ell, "plain")
