@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import gt
 
-from .chains import Chain, ChainElem, ReflChain
+from .chains import Chain, ChainElem, ReflChain, bad_ranks
 from .correspondences import Corr, TotalFn, inner_product, dual_product, inverse, \
     saturate, sharp_saturate
 from .errors import ChainMismatchError, DomainError
-from .intervals import Half, Interval, RInterval, negative_rinterval, \
-    positive_rinterval, refl_interval, svee_intervals
+from .intervals import Interval, RInterval, refl_interval, svee_intervals
 from .measures import GroundSet, Measure
 
 SHARP = "sharp"
@@ -43,10 +42,8 @@ class LatticeFn:
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != self.ground.size:
             raise DomainError("function table must cover the whole ground set")
-        lo, hi = self.scale.rank_range
-        for v in self.values:
-            if not lo <= v <= hi:
-                raise DomainError(f"function value {v} outside scale {self.scale.id!r}")
+        for v in bad_ranks(self.values, *self.scale.rank_range):
+            raise DomainError(f"function value {v} outside scale {self.scale.id!r}")
 
     def is_refl(self) -> bool:
         return isinstance(self.scale, ReflChain)
@@ -78,8 +75,7 @@ class CommFn:
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != self.src.size:
             raise DomainError("commensurability table must cover the source chain")
-        if not 0 <= min(self.values) <= max(self.values) < self.dst.size:
-            v = next(v for v in self.values if not 0 <= v < self.dst.size)
+        for v in bad_ranks(self.values, *self.dst.rank_range):
             raise DomainError(f"commensurability value {v} outside {self.dst.id!r}")
         if any(map(gt, self.values, self.values[1:])):
             raise DomainError("commensurability function must be increasing")
@@ -277,28 +273,22 @@ def symmetric_fan_sugeno(
     rchain = f.scale
     sp = fan_sugeno(m, pos_part(f), ell_pos, variant)
     sn = fan_sugeno(m, neg_part(f), k, variant)
-    p = positive_rinterval(rchain, sp.lo, sp.hi)
-    n = refl_interval(positive_rinterval(rchain, sn.lo, sn.hi))
-    return svee_intervals(p, n)
+    return svee_intervals(
+        RInterval(rchain, sp.lo, sp.hi), refl_interval(RInterval(rchain, sn.lo, sn.hi))
+    )
 
 
-def _into_half(rchain: ReflChain, iv: Interval, designated: Half) -> RInterval:
-    """Classify a plain-chain product interval as an element of the
-    interval reflection lattice.
-
-    A zero-crossing product (possible when the commensurability function
-    sends the measure bottom above the reference point) is clamped to the
-    designated half at the reference point.
-    """
+def _signed(rchain: ReflChain, iv: Interval) -> RInterval:
+    """A product over the carrier, shifted by half_size into a signed
+    interval; one that crosses the reference point is clamped to the
+    positive half.  Only the positive side can cross: the negative side's
+    commensurability maps into the lower half, so the upper end of its
+    product is at most the reference point."""
     n = rchain.half_size
     lo, hi = iv.lo - n, iv.hi - n
-    if hi <= 0:
-        return negative_rinterval(rchain, lo, hi)
-    if lo >= 0:
-        return positive_rinterval(rchain, lo, hi)
-    if designated is Half.POSITIVE:
-        return positive_rinterval(rchain, 0, hi)
-    return negative_rinterval(rchain, lo, 0)
+    if lo < 0 < hi:
+        lo = 0
+    return RInterval(rchain, lo, hi)
 
 
 def asymmetric_fan_sugeno(
@@ -328,6 +318,4 @@ def asymmetric_fan_sugeno(
     q = quantile(m, fp, variant)
     sm = inner_product(ell_minus.as_corr(), q)
     sp = inner_product(ell_plus.as_corr(), q)
-    return svee_intervals(
-        _into_half(rchain, sm, Half.NEGATIVE), _into_half(rchain, sp, Half.POSITIVE)
-    )
+    return svee_intervals(_signed(rchain, sm), _signed(rchain, sp))

@@ -30,9 +30,17 @@ def _decimal_rank(text: str, size: int) -> int | None:
     return None
 
 
+def bad_ranks(values, lo: int, hi: int):
+    """The values that are not `int` ranks in [lo, hi], in order (`True`
+    and `1.0` are not ranks)."""
+    return (v for v in values if type(v) is not int or not lo <= v <= hi)
+
+
 def _check_labels(what: str, labels: tuple[str, ...]) -> None:
-    """Labels are pairwise distinct, and none is spelled like a `rank:<k>`
+    """Labels are distinct strings, and none is spelled like a `rank:<k>`
     value token: a spec value must never mean both a label and a rank."""
+    if not set(map(type, labels)) <= {str}:
+        raise DomainError(f"{what}: labels must be strings")
     if len(set(labels)) != len(labels):
         raise DomainError(f"{what}: labels must be pairwise distinct")
     for text in labels:
@@ -49,7 +57,7 @@ class Chain:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
+        if type(self.size) is not int or self.size < 1:
             raise DomainError(f"chain {self.id!r}: size must be a positive integer")
         if self.size > MAX_CHAIN_SIZE:
             raise DomainError(
@@ -158,7 +166,7 @@ class ReflChain:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.half_size, int) or self.half_size < 1:
+        if type(self.half_size) is not int or self.half_size < 1:
             raise DomainError(f"reflection chain {self.id!r}: half_size must be >= 1")
         if 2 * self.half_size + 1 > MAX_CHAIN_SIZE:
             raise DomainError(

@@ -9,24 +9,27 @@ here drive the aggregation functionals.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
-from .chains import Chain, ChainElem
+from .chains import Chain, ChainElem, bad_ranks
 from .errors import ChainMismatchError, DomainError
 from .intervals import Interval, Rel, sqcup, topkis_cmp
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class Corr:
     """A partial map from source ranks to intervals over the destination.
 
     The table's keys are the domain; values are intervals over dst.
-    Treated as immutable after construction.
+    Frozen: the table is a read-only copy of the mapping given, and the
+    hash is over the two chains.
     """
 
     src: Chain
     dst: Chain
-    table: dict[int, Interval] = field(default_factory=dict)
+    table: Mapping[int, Interval] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         clean: dict[int, Interval] = {}
@@ -38,7 +41,10 @@ class Corr:
                     f"value at {x} lies over chain {iv.chain.id!r}, expected {self.dst.id!r}"
                 )
             clean[x] = iv
-        self.table = clean
+        object.__setattr__(self, "table", MappingProxyType(clean))
+
+    def __reduce__(self):  # a read-only mapping does not pickle; its table does
+        return Corr, (self.src, self.dst, dict(self.table))
 
     def dom(self) -> list[int]:
         return sorted(self.table)
@@ -52,7 +58,7 @@ class Corr:
         return self.table[x]
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class TotalFn:
     """A total function between chains, stored as a rank tuple."""
 
@@ -61,15 +67,14 @@ class TotalFn:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        self.values = tuple(self.values)
+        object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != self.src.size:
             raise DomainError(
                 f"function table has {len(self.values)} entries, "
                 f"expected {self.src.size}"
             )
-        for v in self.values:
-            if not 0 <= v < self.dst.size:
-                raise DomainError(f"value rank {v} outside chain {self.dst.id!r}")
+        for v in bad_ranks(self.values, *self.dst.rank_range):
+            raise DomainError(f"value rank {v} outside chain {self.dst.id!r}")
 
     def __call__(self, x: int) -> int:
         return self.values[x]
@@ -166,8 +171,9 @@ def inner_product(phi: Corr, psi: Corr) -> Interval:
     _check_corr_pair(phi, psi)
     _require_total(phi, "inner product factor")
     _require_total(psi, "inner product factor")
-    lo = max(min(phi.table[x].lo, psi.table[x].lo) for x in range(phi.src.size))
-    hi = max(min(phi.table[x].hi, psi.table[x].hi) for x in range(phi.src.size))
+    p, q, points = phi.table, psi.table, range(phi.src.size)
+    lo = max(min(p[x].lo, q[x].lo) for x in points)
+    hi = max(min(p[x].hi, q[x].hi) for x in points)
     return Interval(phi.dst, lo, hi)
 
 
@@ -176,8 +182,9 @@ def dual_product(phi: Corr, psi: Corr) -> Interval:
     _check_corr_pair(phi, psi)
     _require_total(phi, "dual product factor")
     _require_total(psi, "dual product factor")
-    lo = min(max(phi.table[x].lo, psi.table[x].lo) for x in range(phi.src.size))
-    hi = min(max(phi.table[x].hi, psi.table[x].hi) for x in range(phi.src.size))
+    p, q, points = phi.table, psi.table, range(phi.src.size)
+    lo = min(max(p[x].lo, q[x].lo) for x in points)
+    hi = min(max(p[x].hi, q[x].hi) for x in points)
     return Interval(phi.dst, lo, hi)
 
 
@@ -242,8 +249,7 @@ def sharp_saturate(psi: Corr) -> Corr:
             "sharp saturation requires a correspondence decreasing across "
             "its domain gaps"
         )
-    sat = saturate(psi)
-    table = dict(sat.table)
+    table = saturate(psi).table.copy()
     for x in range(psi.src.size):
         if x not in psi.table:
             hi = table[x].hi

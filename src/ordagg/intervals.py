@@ -124,50 +124,54 @@ class Half(str, Enum):
 
 @dataclass(frozen=True)
 class RInterval:
-    """An interval inside one half of a reflection chain.
-
-    Endpoints are signed ranks.  The singleton at the reference point is
-    shared between the two halves and is normalized to the neutral half.
-    """
+    """A nonvoid interval inside one half of a reflection chain, as a pair
+    of signed ranks; the half is read off their signs.  The singleton at
+    the reference point, shared by both halves, is neutral."""
 
     chain: ReflChain
-    half: Half
     lo: int
     hi: int
 
     def __post_init__(self):
         lo, hi = self.chain.rank_range
-        if not lo <= self.lo <= self.hi <= hi:
+        if not (type(self.lo) is int and type(self.hi) is int and lo <= self.lo <= self.hi <= hi):
             raise DomainError(
                 f"invalid signed endpoints [{self.lo},{self.hi}] for reflection "
                 f"chain {self.chain.id!r}"
             )
-        if self.lo == 0 and self.hi == 0:
-            object.__setattr__(self, "half", Half.NEUTRAL)
-            return
-        if self.half is Half.NEUTRAL:
-            raise DomainError("neutral interval must be the reference-point singleton")
-        if self.half is Half.POSITIVE and self.lo < 0:
-            raise DomainError("positive-half interval with a negative endpoint")
-        if self.half is Half.NEGATIVE and self.hi > 0:
-            raise DomainError("negative-half interval with a positive endpoint")
+        if self.lo < 0 < self.hi:
+            raise DomainError(
+                f"signed interval [{self.lo},{self.hi}] crosses the reference point"
+            )
+
+    @property
+    def half(self) -> Half:
+        if self.lo < 0:
+            return Half.NEGATIVE
+        return Half.POSITIVE if self.hi > 0 else Half.NEUTRAL
 
 
 def positive_rinterval(chain: ReflChain, lo: int, hi: int) -> RInterval:
-    return RInterval(chain, Half.POSITIVE, lo, hi)
+    x = RInterval(chain, lo, hi)
+    if x.lo < 0:
+        raise DomainError("positive-half interval with a negative endpoint")
+    return x
 
 
 def negative_rinterval(chain: ReflChain, lo: int, hi: int) -> RInterval:
-    return RInterval(chain, Half.NEGATIVE, lo, hi)
+    x = RInterval(chain, lo, hi)
+    if x.hi > 0:
+        raise DomainError("negative-half interval with a positive endpoint")
+    return x
 
 
 def neutral_rinterval(chain: ReflChain) -> RInterval:
-    return RInterval(chain, Half.NEUTRAL, 0, 0)
+    return RInterval(chain, 0, 0)
 
 
 def format_rinterval(x: RInterval) -> str:
     c = x.chain
-    if x.half is Half.NEGATIVE:
+    if x.lo < 0:
         return f"-[{c.label(-x.hi)},{c.label(-x.lo)}]"
     return f"[{c.label(x.lo)},{c.label(x.hi)}]"
 
@@ -189,18 +193,13 @@ def rinterval_leq(x: RInterval, y: RInterval) -> bool:
 
 
 def refl_interval(x: RInterval) -> RInterval:
-    """Reflection: swap halves and negate endpoints."""
-    if x.half is Half.NEUTRAL:
-        return x
-    half = Half.NEGATIVE if x.half is Half.POSITIVE else Half.POSITIVE
-    return RInterval(x.chain, half, -x.hi, -x.lo)
+    """Reflection: negate and swap the endpoints."""
+    return RInterval(x.chain, -x.hi, -x.lo)
 
 
 def abs_interval(x: RInterval) -> RInterval:
     """Map into the positive half."""
-    if x.half is Half.NEGATIVE:
-        return refl_interval(x)
-    return x
+    return refl_interval(x) if x.lo < 0 else x
 
 
 def _same_rinterval_chain(x: RInterval, y: RInterval) -> None:
@@ -213,24 +212,20 @@ def _same_rinterval_chain(x: RInterval, y: RInterval) -> None:
 def svee_intervals(x: RInterval, y: RInterval) -> RInterval:
     """Pseudo-addition on the interval reflection lattice.
 
-    Same half: the half's own join (computed on the positive half after
-    reflecting).  Opposite halves: the operand whose absolute value is
-    strictly larger in the interval order; the result collapses to the
-    reference point as soon as the absolute values are equal or
+    Operands on one side of the reference point (the neutral singleton
+    lies on both) join endpoint by endpoint: max on the positive side, min
+    on the negative side.  Opposite halves: the operand whose absolute
+    value is strictly larger in the interval order; the result collapses
+    to the reference point as soon as the absolute values are equal or
     incomparable.
     """
     _same_rinterval_chain(x, y)
-    if x.half is Half.NEUTRAL:
-        return y
-    if y.half is Half.NEUTRAL:
-        return x
-    if x.half is y.half:
-        ax, ay = abs_interval(x), abs_interval(y)
-        joined = positive_rinterval(x.chain, max(ax.lo, ay.lo), max(ax.hi, ay.hi))
-        return joined if x.half is Half.POSITIVE else refl_interval(joined)
+    if x.lo >= 0 and y.lo >= 0:
+        return RInterval(x.chain, max(x.lo, y.lo), max(x.hi, y.hi))
+    if x.hi <= 0 and y.hi <= 0:
+        return RInterval(x.chain, min(x.lo, y.lo), min(x.hi, y.hi))
     ax, ay = abs_interval(x), abs_interval(y)
-    le = ax.lo <= ay.lo and ax.hi <= ay.hi
-    ge = ay.lo <= ax.lo and ay.hi <= ax.hi
+    le, ge = rinterval_leq(ax, ay), rinterval_leq(ay, ax)
     if ge and not le:
         return x
     if le and not ge:

@@ -14,8 +14,9 @@ from functools import cached_property
 from itertools import repeat
 from operator import gt
 from types import MappingProxyType
+from weakref import WeakValueDictionary
 
-from .chains import Chain, ChainElem
+from .chains import Chain, ChainElem, bad_ranks
 from .errors import DomainError
 
 MAX_GROUND_SIZE = 16
@@ -34,6 +35,8 @@ class GroundSet:
             raise DomainError("ground set must be nonempty")
         if len(elements) > MAX_GROUND_SIZE:
             raise DomainError(f"ground set larger than {MAX_GROUND_SIZE} elements")
+        if not set(map(type, elements)) <= {str}:
+            raise DomainError("ground set elements must be strings")
         if len(set(elements)) != len(elements):
             raise DomainError("ground set elements must be distinct")
 
@@ -72,6 +75,13 @@ class GroundSet:
         return range(self.full_mask + 1)
 
 
+# The powerset family of each ground set in use, shared by every measure on
+# it.  Held weakly: a family that the ground set kept would form a cycle
+# with it, and its 2**n masks would outlive the last measure until a full
+# garbage collection.
+_POWERSETS: WeakValueDictionary[GroundSet, SetFamily] = WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """A family of subsets containing the empty set and the whole set."""
@@ -82,15 +92,18 @@ class SetFamily:
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
         full = self.ground.full_mask
-        if self.members and not 0 <= min(self.members) <= max(self.members) <= full:
-            bad = next(m for m in self.members if not 0 <= m <= full)
+        for bad in bad_ranks(self.members, 0, full):
             raise DomainError(f"subset mask {bad} outside the ground set")
         if 0 not in self.members or full not in self.members:
             raise DomainError("set family must contain the empty set and the whole set")
 
     @classmethod
     def full(cls, ground: GroundSet) -> "SetFamily":
-        return cls(ground, frozenset(ground.subsets()))
+        """The whole powerset: one family per ground set while any holds it."""
+        family = _POWERSETS.get(ground)
+        if family is None:
+            family = _POWERSETS[ground] = cls(ground, frozenset(ground.subsets()))
+        return family
 
     def is_full(self) -> bool:
         return len(self.members) == self.ground.full_mask + 1
@@ -119,9 +132,7 @@ class Measure:
         members = family.members
         if table.keys() != members:
             raise DomainError("measure table must cover exactly the set family")
-        ranks = table.values()
-        if not 0 <= min(ranks) <= max(ranks) < scale.size:
-            bad = next(v for v in ranks if not 0 <= v < scale.size)
+        for bad in bad_ranks(table.values(), *scale.rank_range):
             raise DomainError(f"measure value rank {bad} outside chain {scale.id!r}")
         ground = family.ground
         n = ground.size

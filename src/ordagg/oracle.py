@@ -1,6 +1,7 @@
 """Definition-literal reference implementations used to validate the one
-aggregation route (distribution, inverse, saturation, product) and the
-closed forms of constructed measures.
+aggregation route (distribution, inverse, saturation, product), the
+closed forms of constructed measures and the pseudo-addition of signed
+intervals.
 
 Everything here recomputes results by enumerating elements, choice
 functions, set families, or candidate chains, sharing only the core data
@@ -12,10 +13,10 @@ from __future__ import annotations
 from itertools import product
 
 from .aggregation import CommFn, LatticeFn
-from .chains import Chain, ChainElem
+from .chains import Chain, ChainElem, ReflChain, svee
 from .correspondences import Corr
 from .errors import ChainMismatchError, DomainError
-from .intervals import Interval, Rel, _same_interval_chain
+from .intervals import Interval, Rel, RInterval, _same_interval_chain
 from .measures import GroundSet, Measure
 
 ENUM_BUDGET = 10**6
@@ -88,6 +89,45 @@ def leq_via_lemma(i1: Interval, i2: Interval) -> bool:
     up = all(any(a1 <= a2 for a2 in i2.elements()) for a1 in i1.elements())
     down = all(any(b1 <= b2 for b1 in i1.elements()) for b2 in i2.elements())
     return up and down
+
+
+def _srank_set(x: RInterval) -> set[int]:
+    return set(range(x.lo, x.hi + 1))
+
+
+def _set_to_rinterval(chain: ReflChain, values: set[int]) -> RInterval:
+    lo, hi = min(values), max(values)
+    if len(values) != hi - lo + 1:
+        raise DomainError(f"enumerated value set {sorted(values)} is not an interval")
+    return RInterval(chain, lo, hi)
+
+
+def oracle_svee_intervals(x: RInterval, y: RInterval) -> RInterval:
+    """Pseudo-addition of signed intervals from elements.
+
+    When every element of both operands lies on one side of the reference
+    point, the result is the image of the element pseudo-addition over all
+    element pairs.  Otherwise the operand whose absolute values form the
+    strictly larger interval (decided by `leq_via_lemma`) wins, and equal
+    or incomparable absolute values cancel to the reference point.
+    """
+    chain = x.chain
+    xs, ys = _srank_set(x), _srank_set(y)
+    both = xs | ys
+    if all(a >= 0 for a in both) or all(a <= 0 for a in both):
+        return _set_to_rinterval(
+            chain,
+            {svee(chain.elem(a), chain.elem(b)).srank for a in xs for b in ys},
+        )
+    half = chain.positive_half()
+    ax = _set_to_interval(half, {abs(a) for a in xs})
+    ay = _set_to_interval(half, {abs(b) for b in ys})
+    le, ge = leq_via_lemma(ax, ay), leq_via_lemma(ay, ax)
+    if ge and not le:
+        return x
+    if le and not ge:
+        return y
+    return _set_to_rinterval(chain, {0})
 
 
 def oracle_inverse(c: Corr) -> Corr:

@@ -750,6 +750,21 @@ class TestAsymmetricFunctional:
             ag = asymmetric_fan_sugeno(mu, g, lminus, lplus)
             assert rinterval_leq(af, ag)
 
+    def test_a_crossing_product_is_clamped_to_the_positive_half(self):
+        # f sits at the top, so every plain quantile is the whole carrier:
+        # the negative side's product is -[0,1], the positive side's crosses
+        # the reference point as [-1,1] and reads as [0,1], and the two
+        # cancel (read as -[0,1], it would join the negative side instead)
+        r = ReflChain("r", 1)
+        m = Chain("m", 3)
+        plain = r.as_chain()
+        g2 = GroundSet(("a", "b"))
+        mu = Measure(SetFamily.full(g2), m, {0: 0, 1: 1, 2: 1, 3: 2})
+        f = LatticeFn(g2, r, (1, 1))
+        lminus = CommFn(m, plain, (0, 0, 1))
+        lplus = CommFn(m, plain, (1, 1, 2))
+        assert asymmetric_fan_sugeno(mu, f, lminus, lplus, "plain") == neutral_rinterval(r)
+
     def test_rejects_wrong_halves(self):
         r = ReflChain("r", 2)
         m = Chain("m", 3)

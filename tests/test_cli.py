@@ -1,12 +1,16 @@
 """Command line behavior: golden outputs, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ordagg.cli import run
 
-SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+REPO = Path(__file__).resolve().parent.parent
+SPEC_DIR = REPO / "specs"
 E1 = str(SPEC_DIR / "e1.spec")
 SIGNED = str(SPEC_DIR / "signed.spec")
 
@@ -358,6 +362,20 @@ ERR_CASES = {
         "function f scale=m\n  a mid\n  z hi\n  y hi\n",
         "line 8: unknown ground element 'z'",
     ),
+    "chain-not-monotone": (
+        "measure c scale=m kind=chain-lower\n  {} lo\n  {a} hi\n  {a,b} mid\n"
+        "  {a,b,c} top\n",
+        "line 6: measure 'c': chain values must be monotone along the chain",
+    ),
+    "chain-not-nested": (
+        "measure c scale=m kind=chain-upper\n  {} lo\n  {a} mid\n  {b} mid\n"
+        "  {a,b,c} top\n",
+        "line 6: measure 'c': sets {a} and {b} are not nested; not a chain",
+    ),
+    "chain-without-endpoints": (
+        "measure c scale=m kind=chain-lower\n  {a} mid\n  {a,b} hi\n",
+        "line 6: measure 'c': chain must contain the empty set and the whole set",
+    ),
 }
 
 
@@ -541,3 +559,92 @@ def test_quantile_point_on_unlabelled_scale(tmp_path, capsys):
     for point in ("3", "02", "rank:3"):
         assert run(argv + ["--p", point]) == 3
         assert capsys.readouterr() == ("", f"error: point {point!r} is not on scale 'm'\n")
+
+
+# Options a subcommand needs only in some modes: a missing one is a domain
+# error (exit 3), reported before any evaluation.
+OPTION_CASES = {
+    "nullfunction-without-function": (
+        ["check", SIGNED, "--measure", "mu", "--property", "nullfunction"],
+        "error: missing --function",
+    ),
+    "minitive-without-measure": (
+        ["check", SIGNED, "--property", "minitive"],
+        "error: missing --measure",
+    ),
+    "comm-norm-without-comm": (
+        ["norm", SIGNED, "--measure", "mu", "--function", "f", "--kind", "comm"],
+        "error: missing --comm",
+    ),
+    "derive-upper-chain": (
+        ["chain-verify", SIGNED, "--measure", "u12", "--kind", "upper"],
+        "error: deriving a chain without --sets is supported for kind=lower",
+    ),
+    "asym-comm-into-half": (
+        ["eval-asym", SIGNED, "--measure", "mu", "--function", "f",
+         "--comm-neg", "id", "--comm-pos", "lpos"],
+        "error: commensurability destination 'r+' differs from function scale 'r#'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPTION_CASES))
+def test_option_error_text_is_pinned(case, capsys):
+    argv, message = OPTION_CASES[case]
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+EXTEND_SPEC = (
+    "scale m 3\nomega a b\nmeasure mu scale=m kind=table\n  {a} rank:1\n"
+    "function g scale=m\n  a rank:0\n  b rank:2\ncomm id from=m to=m\n"
+)
+
+
+@pytest.mark.parametrize(
+    "extend, distribution, interval",
+    [
+        # {b} lies in no member of the family but {a,b}: from below it gets
+        # the bottom, from above the top
+        ("inner", ("2", "0", "0"), "interval=[0,0] sup=0"),
+        ("outer", ("2", "2", "2"), "interval=[1,2] sup=2"),
+    ],
+)
+def test_extension_of_a_partial_measure_is_pinned(extend, distribution, interval,
+                                                  tmp_path, capsys):
+    spec = tmp_path / "partial.spec"
+    spec.write_text(EXTEND_SPEC)
+    common = [str(spec), "--measure", "mu", "--function", "g", "--extend", extend]
+    out = run_ok(capsys, ["distribution", *common])
+    assert out == "".join(f"x={x} value={v}\n" for x, v in enumerate(distribution))
+    assert run_ok(capsys, ["eval", *common, "--comm", "id"]) == interval + "\n"
+
+
+# The installed entry point: one real `python -m ordagg.cli` process per
+# exit class, output compared byte for byte.
+PROCESS_CASES = {
+    0: ("", ["eval", "{e1}", "--measure", "mu", "--function", "f", "--comm", "id"],
+        "interval=[0.4,0.5] sup=0.5\n", ""),
+    1: ("scale m 3\nscale m 4\n", ["check", "{spec}"],
+        "", "syntax error: line 2: duplicate scale name 'm'\n"),
+    2: ("scale m 3\nomega a b\nmeasure mu scale=m kind=table\n  {a} rank:2\n"
+        "  {a,b} rank:1\n", ["check", "{spec}"],
+        "", "validation error: line 3: measure 'mu': measure not monotone: {a} > {a,b}\n"),
+    3: ("", ["eval", "{e1}", "--measure", "nope", "--function", "f", "--comm", "id"],
+        "", "error: unknown measure 'nope'\n"),
+}
+
+
+@pytest.mark.parametrize("code", sorted(PROCESS_CASES))
+def test_module_entry_point_exit_code(code, tmp_path):
+    text, argv, out, err = PROCESS_CASES[code]
+    spec = tmp_path / "case.spec"
+    spec.write_text(text)
+    argv = [a.format(e1=E1, spec=spec) for a in argv]
+    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "ordagg.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)

@@ -10,6 +10,7 @@ never building its table.
 
 import pickle
 import random
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -18,21 +19,27 @@ from ordagg import (
     Chain,
     ChainElem,
     CommFn,
+    Corr,
     DomainError,
     GroundSet,
+    Interval,
     LatticeFn,
     Measure,
     ReflChain,
     ReflElem,
+    RInterval,
     SetFamily,
+    TotalFn,
     chain_measure,
     co_unanimity,
     distribution,
     fan_sugeno,
     format_specfile,
     inner_extension,
+    negative_rinterval,
     outer_extension,
     parse,
+    positive_rinterval,
     sign_measure,
     sugeno_integral,
     unanimity,
@@ -46,6 +53,7 @@ from helpers import rand_chain_sets, rand_fn, rand_measure, rand_partial_measure
 SIZES = range(1, 7)
 SCALE = Chain("m", 6)
 G2 = GroundSet(("a", "b"))
+R2 = ReflChain("r", 2)
 
 
 def ground_of(n: int) -> GroundSet:
@@ -298,6 +306,11 @@ class TestFrozenValues:
         with pytest.raises(FrozenInstanceError):
             family.members = frozenset({0, 3})
         assert hash(family) == hash(SetFamily.full(G2))
+        # one powerset family per ground set, shared by every caller
+        assert SetFamily.full(G2) is family
+        assert unanimity(G2, 1, SCALE).family is family
+        assert inner_extension(unanimity(G2, 1, SCALE)).family is family
+        assert SetFamily.full(GroundSet(("a", "b"))) == family
 
     def test_function_and_comm(self):
         f = LatticeFn(G2, SCALE, [4, 2])
@@ -308,6 +321,31 @@ class TestFrozenValues:
             ell.values = tuple(reversed(ell.values))
         assert f.values == (4, 2) and ell.values == tuple(range(SCALE.size))
         assert hash(f) == hash(LatticeFn(G2, SCALE, (4, 2)))
+
+    def test_total_fn(self):
+        g = TotalFn(SCALE, SCALE, [5, 3, 3, 1, 0, 0])
+        with pytest.raises(FrozenInstanceError):
+            g.values = (0,) * 6
+        with pytest.raises(FrozenInstanceError):
+            g.dst = Chain("other", 6)
+        assert g.values == (5, 3, 3, 1, 0, 0)
+        assert hash(g) == hash(TotalFn(SCALE, SCALE, (5, 3, 3, 1, 0, 0)))
+
+    def test_corr(self):
+        table = {0: Interval(SCALE, 1, 2), 3: Interval(SCALE, 0, 0)}
+        c = Corr(SCALE, SCALE, table)
+        with pytest.raises(FrozenInstanceError):
+            c.table = {}
+        with pytest.raises(TypeError):
+            c.table[1] = Interval(SCALE, 5, 5)
+        table[1] = Interval(SCALE, 5, 5)
+        del table[0]
+        assert c.table == {0: Interval(SCALE, 1, 2), 3: Interval(SCALE, 0, 0)}
+        assert c.dom() == [0, 3]
+        assert c == Corr(SCALE, SCALE, dict(c.table))
+        assert hash(c) == hash(Corr(SCALE, SCALE))
+        back = pickle.loads(pickle.dumps(c))
+        assert back == c and back.table == c.table
 
 
 class TestElementRanks:
@@ -326,6 +364,66 @@ class TestElementRanks:
             match=f"^signed rank {srank!r} for reflection chain 'r' is not an integer$",
         ):
             ReflElem(self.REFL, srank)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LatticeFn(G2, SCALE, (0.5, 1)), "function value 0.5 outside scale 'm'"),
+            (lambda: LatticeFn(G2, SCALE, (True, 1)), "function value True outside scale 'm'"),
+            (lambda: LatticeFn(G2, R2, (1, -1.0)), "function value -1.0 outside scale 'r'"),
+            (
+                lambda: CommFn(SCALE, SCALE, (0, 0.5, 2, 3, 4, 5)),
+                "commensurability value 0.5 outside 'm'",
+            ),
+            (
+                lambda: TotalFn(SCALE, SCALE, (5, 1.0, 0, 0, 0, 0)),
+                "value rank 1.0 outside chain 'm'",
+            ),
+            (
+                lambda: Measure(SetFamily.full(G2), SCALE, {0: 0, 1: 1.0, 2: 1, 3: 5}),
+                "measure value rank 1.0 outside chain 'm'",
+            ),
+            (
+                lambda: SetFamily(G2, frozenset({0, 1.0, 3})),
+                "subset mask 1.0 outside the ground set",
+            ),
+            (lambda: Chain("m", True), "chain 'm': size must be a positive integer"),
+            (lambda: Chain("m", 3.0), "chain 'm': size must be a positive integer"),
+            (lambda: ReflChain("r", True), "reflection chain 'r': half_size must be >= 1"),
+            (lambda: Chain("m", 3, ("a", "b", 1)), "chain 'm': labels must be strings"),
+            (
+                lambda: ReflChain("r", 1, ("0", None)),
+                "reflection chain 'r': labels must be strings",
+            ),
+            (lambda: GroundSet(("a", 1)), "ground set elements must be strings"),
+            (lambda: GroundSet((["a"],)), "ground set elements must be strings"),
+            (
+                lambda: RInterval(R2, 0, 1.0),
+                "invalid signed endpoints [0,1.0] for reflection chain 'r'",
+            ),
+            (
+                lambda: RInterval(R2, False, 1),
+                "invalid signed endpoints [False,1] for reflection chain 'r'",
+            ),
+            (lambda: RInterval(R2, -1, 2), "signed interval [-1,2] crosses the reference point"),
+            (lambda: RInterval(R2, -1, 1), "signed interval [-1,1] crosses the reference point"),
+            (
+                lambda: RInterval(R2, 1, 3),
+                "invalid signed endpoints [1,3] for reflection chain 'r'",
+            ),
+            (
+                lambda: positive_rinterval(R2, -2, -1),
+                "positive-half interval with a negative endpoint",
+            ),
+            (
+                lambda: negative_rinterval(R2, 1, 2),
+                "negative-half interval with a positive endpoint",
+            ),
+        ],
+    )
+    def test_constructors_reject_what_they_cannot_represent(self, build, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_integers_still_pass(self):
         assert str(ChainElem(self.CHAIN, 1)) == "mid"

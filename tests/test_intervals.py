@@ -1,6 +1,7 @@
 """Interval lattice laws and the interval reflection lattice."""
 
 import itertools
+from dataclasses import fields
 
 import pytest
 
@@ -11,12 +12,15 @@ from ordagg import (
     Interval,
     ReflChain,
     Rel,
+    RInterval,
     abs_interval,
+    absolute,
     format_interval,
     format_rinterval,
     negative_rinterval,
     neutral_rinterval,
     positive_rinterval,
+    refl,
     refl_interval,
     rinterval_leq,
     singleton,
@@ -28,7 +32,7 @@ from ordagg import (
     topkis_cmp,
     topkis_leq,
 )
-from ordagg.oracle import leq_via_lemma
+from ordagg.oracle import leq_via_lemma, oracle_svee_intervals
 from helpers import all_intervals
 
 C5 = Chain("c5", 5)
@@ -169,6 +173,8 @@ class TestRInterval:
     RC = ReflChain("r", 3)
 
     def test_normalization_and_validation(self):
+        # an endpoint pair: the half is read off the signs
+        assert [f.name for f in fields(RInterval)] == ["chain", "lo", "hi"]
         assert positive_rinterval(self.RC, 0, 0).half is Half.NEUTRAL
         assert negative_rinterval(self.RC, 0, 0) == neutral_rinterval(self.RC)
         with pytest.raises(DomainError):
@@ -253,3 +259,30 @@ class TestRInterval:
         assert not rinterval_leq(
             positive_rinterval(rc, 1, 1), negative_rinterval(rc, -1, -1)
         )
+
+    def test_every_signed_interval_against_its_elements(self):
+        rc = ReflChain("r", 3, ("0", "lo", "mid", "hi"))
+        n, half, carrier = rc.half_size, rc.positive_half(), rc.as_chain()
+        rivs = self.all_rintervals(rc)
+        assert len(set(rivs)) == 19
+
+        def elems(x):
+            return set(range(x.lo, x.hi + 1))
+
+        def on_carrier(x):
+            return Interval(carrier, x.lo + n, x.hi + n)
+
+        for x in rivs:
+            e = elems(x)
+            assert elems(refl_interval(x)) == {refl(rc.elem(a)).srank for a in e}
+            assert elems(abs_interval(x)) == {absolute(rc.elem(a)).srank for a in e}
+            negative = min(e) < 0
+            assert x.half is (
+                Half.NEGATIVE if negative else Half.NEUTRAL if e == {0} else Half.POSITIVE
+            )
+            mags = sorted(abs(a) for a in e)
+            want = f"[{half.label(mags[0])},{half.label(mags[-1])}]"
+            assert format_rinterval(x) == ("-" if negative else "") + want
+        for x, y in itertools.product(rivs, repeat=2):
+            assert rinterval_leq(x, y) == leq_via_lemma(on_carrier(x), on_carrier(y))
+            assert svee_intervals(x, y) == oracle_svee_intervals(x, y)
