@@ -98,27 +98,29 @@ class CommFn:
         return cls(src, dst, tuple(range(src.size)))
 
 
-def level_set(f: LatticeFn, x: int, strict: bool = False) -> int:
-    """Bitmask of the upper level set at threshold x."""
+def level_set(f: LatticeFn, x: int) -> int:
+    """Bitmask of the upper level set {f >= x}."""
     lo, hi = f.scale.rank_range
-    if not lo <= x <= hi:
+    if type(x) is not int or not lo <= x <= hi:
         raise DomainError(f"level {x} outside scale {f.scale.id!r}")
     mask = 0
     for i, v in enumerate(f.values):
-        if v > x if strict else v >= x:
+        if v >= x:
             mask |= 1 << i
     return mask
 
 
+def _steps(f: LatticeFn) -> list[int]:
+    """The levels where {f >= x} changes, lowest first: the bottom, and one
+    above each value of f below the top.  Between two steps, and from the
+    last step to the top, the level set stays the same."""
+    lo, hi = f.scale.rank_range
+    return sorted({lo, *(v + 1 for v in f.values if v < hi)})
+
+
 def level_chain(f: LatticeFn) -> list[int]:
     """The nested family of upper level sets, largest first."""
-    lo, hi = f.scale.rank_range
-    seen: list[int] = []
-    for x in range(lo, hi + 1):
-        mask = level_set(f, x)
-        if not seen or seen[-1] != mask:
-            seen.append(mask)
-    return seen
+    return [level_set(f, x) for x in _steps(f)]
 
 
 def is_comonotonic(fs) -> bool:
@@ -148,13 +150,10 @@ def distribution(m: Measure, f: LatticeFn) -> TotalFn:
     _require_total_measure(m)
     if m.ground != f.ground:
         raise ChainMismatchError("measure and function live on different ground sets")
+    steps = _steps(f)
     values = []
-    mask = None
-    for x in range(f.scale.size):
-        level = level_set(f, x)
-        if level != mask:  # read the measure once per distinct level set
-            mask, v = level, m(level)
-        values.append(v)
+    for x, end in zip(steps, steps[1:] + [f.scale.size]):
+        values += [m(level_set(f, x))] * (end - x)
     return TotalFn(f.scale, m.scale, tuple(values))
 
 
@@ -169,9 +168,7 @@ def quantile(m: Measure, f: LatticeFn, variant: str = SHARP) -> Corr:
 
 def median(m: Measure, f: LatticeFn, p0: int) -> Interval:
     """Quantile at the caller's reflection fixed point of the measure scale."""
-    if not 0 <= p0 < m.scale.size:
-        raise DomainError(f"rank {p0} outside measure scale {m.scale.id!r}")
-    return quantile(m, f, SHARP).table[p0]
+    return quantile_functional(m, f, p0)
 
 
 def _check_comm(m: Measure, f: LatticeFn, ell: CommFn) -> None:
@@ -195,9 +192,9 @@ def fan_sugeno(m: Measure, f: LatticeFn, ell: CommFn, variant: str = SHARP) -> I
     return inner_product(ell.as_corr(), quantile(m, f, variant))
 
 
-def fan_sugeno_sup(m: Measure, f: LatticeFn, ell: CommFn, variant: str = SHARP) -> ChainElem:
-    """Least upper bound of the aggregate interval (variant-independent)."""
-    iv = fan_sugeno(m, f, ell, variant)
+def fan_sugeno_sup(m: Measure, f: LatticeFn, ell: CommFn) -> ChainElem:
+    """Least upper bound of the aggregate interval (the same for both variants)."""
+    iv = fan_sugeno(m, f, ell)
     return iv.chain.elem(iv.hi)
 
 
@@ -223,9 +220,8 @@ def sugeno_integral(m: Measure, f: LatticeFn) -> ChainElem:
 def quantile_functional(m: Measure, f: LatticeFn, p: int) -> Interval:
     """Aggregate against the unit vector at p: recovers the p-quantile,
     the value of the sharp quantile correspondence at p."""
-    f = f.as_plain()
     _require_total_measure(m)
-    if not 0 <= p < m.scale.size:
+    if type(p) is not int or not 0 <= p < m.scale.size:
         raise DomainError(f"rank {p} outside measure scale {m.scale.id!r}")
     return quantile(m, f, SHARP).table[p]
 

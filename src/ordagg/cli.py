@@ -23,7 +23,7 @@ from .measures import (
     outer_extension,
     verify_chain,
 )
-from .specfile import SpecFile, _parse_rank, format_subset, parse, parse_subset
+from .specfile import SpecFile, _parse_rank, parse, parse_subset
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -153,17 +153,16 @@ def _cmd_check(sf: SpecFile, args) -> None:
 def _cmd_chain_verify(sf: SpecFile, args) -> None:
     m = _measure(sf, args)
     if args.sets is not None:
-        sets = [
-            parse_subset(tok, m.ground)
-            for tok in args.sets.split(";")
-            if tok.strip()
-        ]
+        try:
+            sets = [parse_subset(tok, m.ground) for tok in args.sets.split(";") if tok.strip()]
+        except SpecError as e:  # a bad --sets argument, not a bad spec file
+            raise DomainError(str(e)) from None
         print(f"verified={str(verify_chain(m, sets, args.kind)).lower()}")
         return
     if args.kind != "lower":
         raise DomainError("deriving a chain without --sets is supported for kind=lower")
     sets = minitive_chain(m)  # raises unless the chain reproduces m
-    shown = "|".join(format_subset(s, m.ground) for s in sets)
+    shown = "|".join(m.ground.format_mask(s) for s in sets)
     print(f"chain={shown} verified=true")
 
 
@@ -268,8 +267,6 @@ def _cmd_oracle_compare(sf: SpecFile, args) -> None:
             )
     for mname, m in totals.items():
         for fname, f in sf.functions.items():
-            if f.ground != m.ground:
-                continue
             fp = f.as_plain()
             for cname, ell in sf.comms.items():
                 if ell.src != m.scale or ell.dst != fp.scale:

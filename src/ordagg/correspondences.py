@@ -34,7 +34,7 @@ class Corr:
     def __post_init__(self):
         clean: dict[int, Interval] = {}
         for x, iv in self.table.items():
-            if not 0 <= x < self.src.size:
+            if type(x) is not int or not 0 <= x < self.src.size:
                 raise DomainError(f"domain point {x} outside chain {self.src.id!r}")
             if iv.chain != self.dst:
                 raise ChainMismatchError(

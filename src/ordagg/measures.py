@@ -130,7 +130,8 @@ class Measure:
     def __init__(self, family: SetFamily, scale: Chain, values: Mapping[int, int]):
         table = dict(values)
         members = family.members
-        if table.keys() != members:
+        # a key 1.0 or True would pass the key comparison as the mask 1
+        if table.keys() != members or not set(map(type, table)) <= {int}:
             raise DomainError("measure table must cover exactly the set family")
         for bad in bad_ranks(table.values(), *scale.rank_range):
             raise DomainError(f"measure value rank {bad} outside chain {scale.id!r}")
@@ -202,7 +203,7 @@ class Measure:
 
     def __call__(self, mask: int) -> int:
         family = self.family
-        if not 0 <= mask <= family.ground.full_mask:
+        if type(mask) is not int or not 0 <= mask <= family.ground.full_mask:
             raise DomainError(f"subset mask {mask} outside the ground set")
         if not family.is_full() and mask not in family.members:
             raise DomainError(

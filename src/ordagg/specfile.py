@@ -125,10 +125,6 @@ def parse_subset(token: str, ground: GroundSet, line: int | None = None) -> int:
         raise SpecValidationError(str(e), line) from None
 
 
-def format_subset(mask: int, ground: GroundSet) -> str:
-    return ground.format_mask(mask)
-
-
 def _rank_number(text: str) -> int | None:
     """The integer whose canonical decimal spelling is `text`, or None:
     ASCII digits after an optional minus, with no leading zero, `+` or `_`."""
@@ -340,7 +336,7 @@ def _build_measure(sf: SpecFile, b: _Block) -> None:
             for (line_no, _), mask in zip(b.body, masks):
                 if mask in earlier:
                     raise SpecParseError(
-                        f"duplicate subset {format_subset(mask, ground)}", line_no
+                        f"duplicate subset {ground.format_mask(mask)}", line_no
                     )
                 earlier.add(mask)
         if kind == "table":
@@ -444,7 +440,7 @@ def format_specfile(sf: SpecFile) -> str:
         out.append(f"measure {name} scale={scale_name} kind=table")
         for mask in sorted(m.values, key=lambda a: (a.bit_count(), a)):
             out.append(
-                f"  {format_subset(mask, m.ground)} {m.scale.label(m.values[mask])}"
+                f"  {m.ground.format_mask(mask)} {m.scale.label(m.values[mask])}"
             )
     for name, f in sf.functions.items():
         out.append(f"function {name} scale={f.scale.id}")

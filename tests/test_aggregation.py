@@ -89,8 +89,6 @@ class TestLevelSets:
         assert level_set(f, 3) == 0b01
         assert level_set(f, 0) == G2.full_mask
         assert level_set(f, 2) == 0b11
-        assert level_set(f, 2, strict=True) == 0b01
-        assert level_set(f, 6, strict=True) == 0
 
     def test_level_chain_nested(self):
         rng = random.Random(2)
@@ -102,6 +100,36 @@ class TestLevelSets:
             for a, b in zip(masks, masks[1:]):
                 assert b & a == b and a != b
 
+    def test_level_chain_is_every_distinct_level_set(self):
+        # the definition: {f >= x} at every level of the scale, repeats dropped
+        rng = random.Random(71)
+        for _ in range(200):
+            ground, l, _ = grounds_and_scales(rng)
+            scale = l if rng.random() < 0.5 else ReflChain("r", rng.randint(1, 4))
+            f = rand_fn(rng, ground, scale)
+            lo, hi = scale.rank_range
+            literal: list[int] = []
+            for x in range(lo, hi + 1):
+                mask = sum(1 << i for i, v in enumerate(f.values) if v >= x)
+                if mask not in literal:
+                    literal.append(mask)
+            assert level_chain(f) == literal
+
+    def test_level_outside_the_scale(self):
+        f = e1_fn()
+        for x in (-1, 11):
+            with pytest.raises(DomainError, match=f"^level {x} outside scale 'grid11'$"):
+                level_set(f, x)
+
+    def test_comonotonic_needs_one_ground_set_and_scale(self):
+        f = e1_fn()
+        for g in (LatticeFn(GroundSet(("a", "c")), GRID11, (6, 2)),
+                  LatticeFn(G2, Chain("other", 11), (6, 2))):
+            with pytest.raises(
+                DomainError, match="^comonotonicity needs a shared ground set and scale$"
+            ):
+                is_comonotonic([f, g])
+
     def test_comonotonic(self):
         f = LatticeFn(G2, GRID11, (6, 2))
         g = LatticeFn(G2, GRID11, (4, 1))
@@ -110,6 +138,22 @@ class TestLevelSets:
         assert not is_comonotonic([f, h])
         assert is_comonotonic([f])
         assert is_comonotonic([])
+
+
+class TestTables:
+    def test_calls_read_the_table(self):
+        f = e1_fn()
+        assert (f(0), f(1)) == (6, 2)
+        ell = CommFn(Chain("c3", 3), GRID11, (0, 4, 10))
+        assert [ell(p) for p in range(3)] == [0, 4, 10]
+
+    def test_length_errors(self):
+        with pytest.raises(DomainError, match="^function table must cover the whole ground set$"):
+            LatticeFn(G2, GRID11, (6,))
+        with pytest.raises(
+            DomainError, match="^commensurability table must cover the source chain$"
+        ):
+            CommFn(Chain("c3", 3), GRID11, (0, 4))
 
 
 class TestDistribution:
@@ -138,6 +182,45 @@ class TestDistribution:
         )
         with pytest.raises(DomainError):
             distribution(partial, e1_fn())
+
+    def test_equals_the_definition(self):
+        # g(x) = mu({f >= x}) at every point, f read over its carrier
+        rng = random.Random(72)
+        for _ in range(200):
+            ground, l, m = grounds_and_scales(rng)
+            scale = l if rng.random() < 0.5 else ReflChain("r", rng.randint(1, 4))
+            mu = rand_measure(rng, ground, m)
+            f = rand_fn(rng, ground, scale)
+            lo, hi = scale.rank_range
+            literal = tuple(
+                mu.values[sum(1 << i for i, v in enumerate(f.values) if v >= x)]
+                for x in range(lo, hi + 1)
+            )
+            assert distribution(mu, f).values == literal
+
+    def test_reads_one_level_set_per_value_of_f(self, monkeypatch):
+        # {f >= x} changes only just above a value of f, so a 10,000-point
+        # chain with n = 4 needs at most n + 1 level sets, not one per point
+        from ordagg import aggregation
+
+        calls = []
+        original = aggregation.level_set
+
+        def counted(f, x):
+            calls.append(x)
+            return original(f, x)
+
+        monkeypatch.setattr(aggregation, "level_set", counted)
+        ground = GroundSet(("a", "b", "c", "d"))
+        scale = Chain("big", 10_000)
+        mu = chain_measure(ground, scale, [0, 0b0001, 0b0011, 0b1111], [0, 10, 5000, 9999],
+                           "lower")
+        f = LatticeFn(ground, scale, (9000, 20, 9000, 9999))
+        g = distribution(mu, f)
+        assert len(calls) <= ground.size + 1
+        assert g.values == tuple(
+            mu(sum(1 << i for i, v in enumerate(f.values) if v >= x)) for x in range(10_000)
+        )
 
 
 class TestQuantile:
@@ -296,7 +379,7 @@ class TestSugenoIntegral:
                 f = LatticeFn(G2, c4, f_vals)
                 assert (
                     sugeno_integral(mu, f).rank
-                    == fan_sugeno_sup(mu, f, ident, "sharp").rank
+                    == fan_sugeno_sup(mu, f, ident).rank
                 )
 
     def test_equals_quantile_path_randomized(self):
@@ -309,7 +392,7 @@ class TestSugenoIntegral:
             ident = CommFn.identity(scale)
             assert (
                 sugeno_integral(mu, f).rank
-                == fan_sugeno_sup(mu, f, ident, "sharp").rank
+                == fan_sugeno_sup(mu, f, ident).rank
             )
 
     def test_scale_mismatch(self):

@@ -13,6 +13,7 @@ from ordagg import (
     bottom,
     dist_r,
     join,
+    leq,
     meet,
     refl,
     sign,
@@ -40,6 +41,15 @@ class TestChainBasics:
         with pytest.raises(ChainMismatchError):
             join(c1.elem(0), c2.elem(0))
 
+    def test_leq(self):
+        c = Chain("c", 4)
+        for a, b in itertools.product(range(4), repeat=2):
+            assert leq(c.elem(a), c.elem(b)) is (a <= b)
+        with pytest.raises(
+            ChainMismatchError, match="^elements of different chains: 'c' vs 'd'$"
+        ):
+            leq(c.elem(0), Chain("d", 4).elem(0))
+
     def test_rank_bounds(self):
         c = Chain("c", 4)
         with pytest.raises(DomainError):
@@ -63,6 +73,15 @@ class TestChainBasics:
 
 
 class TestReflBasics:
+    def test_signed_rank_bounds(self):
+        rc = ReflChain("r", 2)
+        for s in (-3, 3):
+            with pytest.raises(
+                DomainError,
+                match=f"^signed rank {s} out of range for reflection chain 'r' of half size 2$",
+            ):
+                rc.elem(s)
+
     def test_refl(self):
         rc = ReflChain("r", 4)
         assert refl(rc.elem(3)) == rc.elem(-3)

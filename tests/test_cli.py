@@ -244,6 +244,35 @@ class TestCheckAndChains:
         assert "compare=fan_sugeno measure=mu function=f comm=id variant=sharp match=true" in lines
 
 
+    def test_oracle_compare_signed_is_pinned(self, capsys):
+        # f and g take values in the carrier r#, so the comm id, into the
+        # gain half r+, is left out of the fan_sugeno comparisons
+        out = run_ok(capsys, ["oracle-compare", SIGNED])
+        assert out == (
+            "compare=minitive measure=mu match=true\n"
+            "compare=lower-chain measure=mu match=true\n"
+            "compare=minitive measure=u12 match=true\n"
+            "compare=lower-chain measure=u12 match=true\n"
+            "compare=fan_sugeno measure=mu function=f comm=lneg variant=sharp match=true\n"
+            "compare=fan_sugeno measure=mu function=f comm=lneg variant=plain match=true\n"
+            "compare=fan_sugeno measure=mu function=f comm=lpos variant=sharp match=true\n"
+            "compare=fan_sugeno measure=mu function=f comm=lpos variant=plain match=true\n"
+            "compare=fan_sugeno measure=mu function=g comm=lneg variant=sharp match=true\n"
+            "compare=fan_sugeno measure=mu function=g comm=lneg variant=plain match=true\n"
+            "compare=fan_sugeno measure=mu function=g comm=lpos variant=sharp match=true\n"
+            "compare=fan_sugeno measure=mu function=g comm=lpos variant=plain match=true\n"
+            "compare=fan_sugeno measure=u12 function=f comm=lneg variant=sharp match=true\n"
+            "compare=fan_sugeno measure=u12 function=f comm=lneg variant=plain match=true\n"
+            "compare=fan_sugeno measure=u12 function=f comm=lpos variant=sharp match=true\n"
+            "compare=fan_sugeno measure=u12 function=f comm=lpos variant=plain match=true\n"
+            "compare=fan_sugeno measure=u12 function=g comm=lneg variant=sharp match=true\n"
+            "compare=fan_sugeno measure=u12 function=g comm=lneg variant=plain match=true\n"
+            "compare=fan_sugeno measure=u12 function=g comm=lpos variant=sharp match=true\n"
+            "compare=fan_sugeno measure=u12 function=g comm=lpos variant=plain match=true\n"
+            "all=true\n"
+        )
+
+
 class TestExitClasses:
     def test_syntax_error_is_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.spec"
@@ -513,6 +542,35 @@ LOADER_CASES = {
         "comm k from=m to=r+\n", 2,
         "validation error: line 6: comm 'k': identity commensurability needs "
         "equal sizes: 'm' has 4, 'r+' has 3"),
+    "labels-no-labels": (
+        "labels m\n", 1, "syntax error: line 6: labels needs a scale name and labels"),
+    "labels-duplicate": (
+        "labels m lo mid hi top\n", 1,
+        "syntax error: line 6: duplicate labels for scale 'm'"),
+    "scale-no-size": ("scale x\n", 1, "syntax error: line 6: scale needs a name and a size"),
+    "rscale-extra-arg": (
+        "rscale s 2 3\n", 1, "syntax error: line 6: rscale needs a name and a size"),
+    "scale-indented-line": (
+        "scale x 3\n  lo\n", 1, "syntax error: line 7: scale does not take indented lines"),
+    "omega-duplicate": ("omega a b\n", 1, "syntax error: line 6: duplicate omega line"),
+    "measure-unknown-kind": (
+        "measure mu scale=m kind=foo\n", 1, "syntax error: line 6: unknown measure kind 'foo'"),
+    "unanimity-two-rows": (
+        "measure u scale=m kind=unanimity\n  {a}\n  {b}\n", 1,
+        "syntax error: line 6: unanimity needs exactly one coalition line"),
+    "unanimity-row-value": (
+        "measure u scale=m kind=unanimity\n  {a} rank:1\n", 1,
+        "syntax error: line 7: expected a single `<subset>`, got '{a} rank:1'"),
+    "measure-on-rscale": (
+        "measure mu scale=r kind=table\n", 2,
+        "validation error: line 6: measures take values in a plain scale"),
+    "rscale-too-large": (
+        "rscale s 5000\n", 2,
+        "validation error: line 6: reflection chain 's': carrier exceeds the maximum size"),
+    "rscale-label-count": (
+        "rscale s 2\nlabels s a b\n", 2,
+        "validation error: line 7: reflection chain 's': expected 3 labels for the "
+        "nonnegative half, got 2"),
 }
 
 
@@ -524,6 +582,26 @@ def test_loader_error_text_is_pinned(case, tmp_path, capsys):
     assert run(["check", str(spec)]) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message + "\n")
+
+
+# Errors on the omega line itself, which ERR_HEAD already declares.
+GROUND_CASES = {
+    "omega-bare": ("omega\n", 1, "syntax error: line 2: omega needs at least one element"),
+    "omega-repeated": (
+        "omega a a\n", 2, "validation error: line 2: ground set elements must be distinct"),
+    "omega-17-elements": (
+        "omega " + " ".join(f"e{i}" for i in range(17)) + "\n", 2,
+        "validation error: line 2: ground set larger than 16 elements"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUND_CASES))
+def test_ground_line_error_text_is_pinned(case, tmp_path, capsys):
+    line, code, message = GROUND_CASES[case]
+    spec = tmp_path / "bad.spec"
+    spec.write_text("scale m 4\n" + line)
+    assert run(["check", str(spec)]) == code
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 QUANTILE_POINTS = {
@@ -586,6 +664,22 @@ OPTION_CASES = {
         "error: commensurability destination 'r+' differs from function scale 'r#'",
     ),
 }
+
+
+# A bad --sets argument is a domain error, like a bad --p: the spec file
+# itself is valid.
+SETS_CASES = {
+    "a": "error: expected a subset like {a,b}, got 'a'",
+    "{a,b": "error: expected a subset like {a,b}, got '{a,b'",
+    "{zz}": "error: unknown ground element 'zz'",
+}
+
+
+@pytest.mark.parametrize("sets", sorted(SETS_CASES))
+def test_chain_verify_sets_error_is_a_domain_error(sets, capsys):
+    argv = ["chain-verify", E1, "--measure", "mu", "--kind", "lower", "--sets", sets]
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", SETS_CASES[sets] + "\n")
 
 
 @pytest.mark.parametrize("case", sorted(OPTION_CASES))

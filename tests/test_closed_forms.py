@@ -36,10 +36,13 @@ from ordagg import (
     fan_sugeno,
     format_specfile,
     inner_extension,
+    level_set,
+    median,
     negative_rinterval,
     outer_extension,
     parse,
     positive_rinterval,
+    quantile_functional,
     sign_measure,
     sugeno_integral,
     unanimity,
@@ -424,6 +427,35 @@ class TestElementRanks:
     def test_constructors_reject_what_they_cannot_represent(self, build, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             build()
+
+    @pytest.mark.parametrize("table", [
+        {0: 0, 1.0: 1, 2: 1, 3: 5},
+        {0: 0, True: 1, 2: 1, 3: 5},
+    ])
+    def test_measure_table_keys_are_masks(self, table):
+        # 1.0 and True hash like the mask 1, so the key set compares equal
+        with pytest.raises(
+            DomainError, match="^measure table must cover exactly the set family$"
+        ):
+            Measure(SetFamily.full(G2), SCALE, table)
+
+    def test_corr_domain_points_are_ranks(self):
+        # a dict display keeps the first key and the last value: {1.0: iv2}
+        table = {1.0: Interval(SCALE, 1, 1), True: Interval(SCALE, 2, 2)}
+        with pytest.raises(DomainError, match="^domain point 1.0 outside chain 'm'$"):
+            Corr(SCALE, SCALE, table)
+
+    @pytest.mark.parametrize("rank", [1.0, 1.5, True])
+    def test_per_call_ranks_are_ints(self, rank):
+        mu = Measure(SetFamily.full(G2), SCALE, {0: 0, 1: 1, 2: 1, 3: 5})
+        f = LatticeFn(G2, SCALE, (4, 1))
+        with pytest.raises(DomainError, match=f"^level {rank} outside scale 'm'$"):
+            level_set(f, rank)
+        for call in (median, quantile_functional):
+            with pytest.raises(DomainError, match=f"^rank {rank} outside measure scale 'm'$"):
+                call(mu, f, rank)
+        with pytest.raises(DomainError, match=f"^subset mask {rank} outside the ground set$"):
+            mu(rank)
 
     def test_integers_still_pass(self):
         assert str(ChainElem(self.CHAIN, 1)) == "mid"

@@ -45,6 +45,23 @@ def corr(table, src=C3, dst=C3):
     return Corr(src, dst, {x: Interval(dst, lo, hi) for x, (lo, hi) in table.items()})
 
 
+class TestCalls:
+    def test_corr_call(self):
+        c = Corr(C4, C3, {0: Interval(C3, 1, 2), 3: Interval(C3, 0, 0)})
+        assert c(0) == Interval(C3, 1, 2)
+        assert c(3) == Interval(C3, 0, 0)
+        for x in (1, 5):
+            with pytest.raises(
+                DomainError, match=f"^point {x} not in the domain of the correspondence$"
+            ):
+                c(x)
+
+    def test_total_fn_call_and_elem(self):
+        g = TotalFn(C4, C3, (2, 2, 1, 0))
+        assert [g(x) for x in range(4)] == [2, 2, 1, 0]
+        assert g.elem(2) == C3.elem(1)
+
+
 class TestMonotonicity:
     def test_increasing_example(self):
         c = corr({0: (0, 1), 1: (1, 1), 2: (2, 2)})

@@ -90,6 +90,14 @@ class TestJoinMeet:
             assert sqcup(i, bot) == i
             assert sqcap(i, singleton(C5.elem(4))) == i
 
+    def test_operands_over_different_chains(self):
+        other = Interval(Chain("d", 5), 0, 1)
+        for op in (sqcup, sqcap):
+            with pytest.raises(
+                DomainError, match="^intervals over different chains: 'c5' vs 'd'$"
+            ):
+                op(iv(1, 3), other)
+
     def test_family_examples(self):
         assert sqcup_family([iv(0, 0), iv(1, 2), iv(0, 3)]) == iv(1, 3)
         assert sqcap_family([iv(1, 2)]) == iv(1, 2)
@@ -183,6 +191,14 @@ class TestRInterval:
             negative_rinterval(self.RC, -2, 1)
         with pytest.raises(DomainError):
             positive_rinterval(self.RC, 2, 4)
+
+    def test_svee_over_different_reflection_chains(self):
+        other = positive_rinterval(ReflChain("s", 3), 0, 1)
+        with pytest.raises(
+            DomainError,
+            match="^intervals over different reflection chains: 'r' vs 's'$",
+        ):
+            svee_intervals(positive_rinterval(self.RC, 0, 1), other)
 
     def test_refl_abs(self):
         p = positive_rinterval(self.RC, 1, 3)

@@ -12,7 +12,7 @@ from ordagg import (
     format_specfile,
     parse,
 )
-from ordagg.specfile import format_subset, parse_subset
+from ordagg.specfile import parse_subset
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -55,8 +55,8 @@ class TestSubsets:
         g = sf.ground
         assert parse_subset("{ a , b }", g) == 3
         assert parse_subset("{}", g) == 0
-        assert format_subset(3, g) == "{a,b}"
-        assert format_subset(0, g) == "{}"
+        assert g.format_mask(3) == "{a,b}"
+        assert g.format_mask(0) == "{}"
 
     def test_rank_tokens(self):
         text = E1_TEXT.replace("{a} 0.5", "{a} rank:5")
