@@ -49,6 +49,8 @@ class LatticeFn:
         return isinstance(self.scale, ReflChain)
 
     def __call__(self, i: int) -> int:
+        if type(i) is not int or not 0 <= i < self.ground.size:
+            raise DomainError(f"element index {i} outside the ground set")
         return self.values[i]
 
     def as_plain(self) -> "LatticeFn":
@@ -81,6 +83,8 @@ class CommFn:
             raise DomainError("commensurability function must be increasing")
 
     def __call__(self, p: int) -> int:
+        if type(p) is not int or not 0 <= p < self.src.size:
+            raise DomainError(f"point {p} outside chain {self.src.id!r}")
         return self.values[p]
 
     def as_corr(self) -> Corr:

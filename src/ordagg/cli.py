@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import aggregation as agg
-from . import metrics, oracle
+from . import metrics
 from .errors import DomainError, SpecError, SpecParseError, SpecValidationError
 from .intervals import format_interval, format_rinterval, rinterval_sup
 from .measures import (
@@ -31,13 +31,12 @@ EXIT_VALIDATION = 2
 EXIT_DOMAIN = 3
 
 
-def _load(path: str) -> SpecFile:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as e:
         raise DomainError(f"cannot read {path}: {e}") from None
-    return parse(text)
 
 
 def _pick(table: dict, name: str | None, what: str):
@@ -245,6 +244,8 @@ def _cmd_norm(sf: SpecFile, args) -> None:
 
 
 def _cmd_oracle_compare(sf: SpecFile, args) -> None:
+    from . import oracle  # brute force, loaded only for this command
+
     all_ok = True
 
     def report(line: str, ok: bool) -> None:
@@ -303,7 +304,7 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        sf = _load(args.specfile)
+        sf = parse(_read(args.specfile))  # the text is not held here while it parses
         _COMMANDS[args.command](sf, args)
     except SpecParseError as e:
         print(f"syntax error: {e}", file=sys.stderr)

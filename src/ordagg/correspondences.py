@@ -53,7 +53,7 @@ class Corr:
         return len(self.table) == self.src.size
 
     def __call__(self, x: int) -> Interval:
-        if x not in self.table:
+        if type(x) is not int or x not in self.table:
             raise DomainError(f"point {x} not in the domain of the correspondence")
         return self.table[x]
 
@@ -77,10 +77,12 @@ class TotalFn:
             raise DomainError(f"value rank {v} outside chain {self.dst.id!r}")
 
     def __call__(self, x: int) -> int:
+        if type(x) is not int or not 0 <= x < self.src.size:
+            raise DomainError(f"point {x} outside chain {self.src.id!r}")
         return self.values[x]
 
     def elem(self, x: int) -> ChainElem:
-        return self.dst.elem(self.values[x])
+        return self.dst.elem(self(x))
 
     def as_corr(self) -> Corr:
         table = {x: Interval(self.dst, v, v) for x, v in enumerate(self.values)}

@@ -24,7 +24,7 @@ a bare `<rscale>` target the whole carrier as a plain chain.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from .aggregation import CommFn, LatticeFn
@@ -58,10 +58,24 @@ class SpecFile:
 
 @dataclass
 class _Block:
+    """A directive and its body, the file's `lines[line:end]`."""
+
     kind: str
     line: int
     args: list[str]
-    body: list[tuple[int, str]] = field(default_factory=list)
+    lines: list[str]
+    end: int
+
+    def rows(self) -> Iterator[tuple[int, str]]:
+        """The body's lines and their numbers, comments cut, stripped, blanks
+        skipped; read as they are consumed, so no row outlives its reader."""
+        lines = self.lines
+        for i in range(self.line, self.end):
+            text = lines[i]
+            if "#" in text:
+                text = text.split("#", 1)[0]
+            if text := text.strip():
+                yield i + 1, text
 
 
 def _split_kv(args: list[str], line: int, required: tuple[str, ...]) -> dict[str, str]:
@@ -82,25 +96,25 @@ def _split_kv(args: list[str], line: int, required: tuple[str, ...]) -> dict[str
     return kv
 
 
-def _collect_blocks(text: str) -> list[_Block]:
+def _collect_blocks(lines: list[str]) -> list[_Block]:
     blocks: list[_Block] = []
     current: _Block | None = None
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
+        if line[:1] in " \t":  # a body line, or blank ("" is in every string)
+            if current is None and line.split("#", 1)[0].strip():
+                raise SpecParseError("indented line outside a block", line_no)
+            continue
         if "#" in line:
             line = line.split("#", 1)[0]
-        if line[:1] in " \t":  # a body line, or blank ("" is in every string)
-            if line := line.strip():
-                if current is None:
-                    raise SpecParseError("indented line outside a block", line_no)
-                current.body.append((line_no, line))
-            continue
         tokens = line.split()
         if not tokens:
             continue
         kind, args = tokens[0], tokens[1:]
         if kind not in ("scale", "rscale", "labels", "omega", "measure", "function", "comm"):
             raise SpecParseError(f"unknown directive {kind!r}", line_no)
-        current = _Block(kind, line_no, args)
+        if current is not None:
+            current.end = line_no - 1
+        current = _Block(kind, line_no, args, lines, len(lines))
         blocks.append(current)
     return blocks
 
@@ -142,12 +156,8 @@ def _parse_rank(token: str, scale: Chain | ReflChain, line: int | None) -> int:
         if k is None:
             raise SpecParseError(f"bad rank token {token!r}", line)
     else:
-        k = (
-            scale.srank_of_label(token)
-            if isinstance(scale, ReflChain)
-            else scale.rank_of_label(token)
-        )
-        if k is None:
+        rank_of = scale.srank_of_label if isinstance(scale, ReflChain) else scale.rank_of_label
+        if (k := rank_of(token)) is None:
             raise SpecValidationError(
                 f"value {token!r} is not a label of scale {scale.id!r}", line
             )
@@ -170,9 +180,7 @@ def _comm_target(sf: SpecFile, token: str, line: int) -> Chain:
             raise SpecValidationError(f"{token!r} needs a reflection scale", line)
         return scale.positive_half()
     scale = _scale_named(sf, token, line)
-    if isinstance(scale, ReflChain):
-        return scale.as_chain()
-    return scale
+    return scale.as_chain() if isinstance(scale, ReflChain) else scale
 
 
 def _require_ground(sf: SpecFile, line: int) -> GroundSet:
@@ -207,17 +215,12 @@ def _build_scales(sf: SpecFile, blocks: list[_Block]) -> None:
         lb = labels.pop(name, None)
         ltuple = tuple(lb.args[1:]) if lb else None
         try:
-            if b.kind == "scale":
-                sf.scales[name] = Chain(name, size, ltuple)
-            else:
-                sf.scales[name] = ReflChain(name, size, ltuple)
+            sf.scales[name] = (Chain if b.kind == "scale" else ReflChain)(name, size, ltuple)
         except DomainError as e:
             raise SpecValidationError(str(e), (lb or b).line) from None
     if labels:
         stray = next(iter(labels.values()))
-        raise SpecValidationError(
-            f"labels for undeclared scale {stray.args[0]!r}", stray.line
-        )
+        raise SpecValidationError(f"labels for undeclared scale {stray.args[0]!r}", stray.line)
 
 
 def _build_ground(sf: SpecFile, blocks: list[_Block]) -> None:
@@ -258,7 +261,7 @@ def _rows(
     """The `<key> <value>` body rows of a function or comm block: each key
     is `key_of(token, line)`, each value a point of `scale`."""
     values: dict[int, int] = {}
-    for line_no, text in b.body:
+    for line_no, text in b.rows():
         parts = text.split()
         if len(parts) != 2:
             raise SpecParseError(f"expected `<{key_word}> <value>`, got {text!r}", line_no)
@@ -272,38 +275,43 @@ def _rows(
     return values
 
 
-def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> tuple[list[int], list[int]]:
-    """The masks and ranks of a measure's rows, in order.
+def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, int]:
+    """A measure's rows as a subset -> rank table.
 
     A row spelled `{a,b} label` (one space, no blanks inside the braces,
     a label or an unlabelled rank) resolves here; any other spelling takes
     the subset pattern and `_parse_rank`, which raise every row error.  No
-    label starts with `rank:`, so rank tokens always take that path.
+    label starts with `rank:`, so rank tokens always take that path.  The
+    first repeated subset is raised after the last row, so a row error wins.
     """
     bits = ground._bits
     rank_of = scale._rank_index.get if scale.labels is not None else scale.rank_of_label
-    masks: list[int] = []
-    ranks: list[int] = []
-    for line_no, text in b.body:
+    table: dict[int, int] = {}
+    repeat: SpecParseError | None = None
+    for line_no, text in b.rows():
         subset, _, value = text.partition("} ")
         rank = rank_of(value)
+        mask = None
         if rank is not None and subset[:1] == "{":
             mask = 0
             for name in subset[1:].split(",") if subset != "{" else ():
                 bit = bits.get(name)
                 if bit is None:
+                    mask = None
                     break
                 mask |= bit
-            else:
-                masks.append(mask)
-                ranks.append(rank)
-                continue
-        mt = _SUBSET_LINE.match(text)
-        if not mt or mt.group(2) is None:
-            raise SpecParseError(f"expected `<subset> <value>`, got {text!r}", line_no)
-        masks.append(parse_subset(mt.group(1), ground, line_no))
-        ranks.append(_parse_rank(mt.group(2), scale, line_no))
-    return masks, ranks
+        if mask is None:
+            mt = _SUBSET_LINE.match(text)
+            if not mt or mt.group(2) is None:
+                raise SpecParseError(f"expected `<subset> <value>`, got {text!r}", line_no)
+            mask = parse_subset(mt.group(1), ground, line_no)
+            rank = _parse_rank(mt.group(2), scale, line_no)
+        if mask in table and repeat is None:
+            repeat = SpecParseError(f"duplicate subset {ground.format_mask(mask)}", line_no)
+        table[mask] = rank
+    if repeat is not None:
+        raise repeat
+    return table
 
 
 def _build_measure(sf: SpecFile, b: _Block) -> None:
@@ -317,11 +325,10 @@ def _build_measure(sf: SpecFile, b: _Block) -> None:
     kind = kv["kind"]
     try:
         if kind in ("unanimity", "co-unanimity"):
-            if len(b.body) != 1:
-                raise SpecParseError(
-                    f"{kind} needs exactly one coalition line", b.line
-                )
-            line_no, text = b.body[0]
+            body = list(b.rows())
+            if len(body) != 1:
+                raise SpecParseError(f"{kind} needs exactly one coalition line", b.line)
+            line_no, text = body[0]
             mt = _SUBSET_LINE.match(text)
             if not mt or mt.group(2) is not None:
                 raise SpecParseError(f"expected a single `<subset>`, got {text!r}", line_no)
@@ -329,27 +336,16 @@ def _build_measure(sf: SpecFile, b: _Block) -> None:
             build = unanimity if kind == "unanimity" else co_unanimity
             sf.measures[name] = build(ground, coalition, scale)
             return
-        masks, ranks = _measure_rows(b, ground, scale)
-        seen = dict(zip(masks, ranks))
-        if len(seen) < len(masks):
-            earlier: set[int] = set()
-            for (line_no, _), mask in zip(b.body, masks):
-                if mask in earlier:
-                    raise SpecParseError(
-                        f"duplicate subset {ground.format_mask(mask)}", line_no
-                    )
-                earlier.add(mask)
+        table = _measure_rows(b, ground, scale)
         if kind == "table":
-            seen.setdefault(0, 0)
-            seen.setdefault(ground.full_mask, scale.size - 1)
-            family = SetFamily(ground, frozenset(seen))
-            sf.measures[name] = Measure(family, scale, seen)
+            table.setdefault(0, 0)
+            table.setdefault(ground.full_mask, scale.size - 1)
+            full = len(table) > ground.full_mask  # 2**n distinct masks: the powerset
+            family = SetFamily.full(ground) if full else SetFamily(ground, frozenset(table))
+            sf.measures[name] = Measure(family, scale, table)
         else:
-            sets = list(seen)
-            values = [seen[s] for s in sets]
-            sf.measures[name] = chain_measure(
-                ground, scale, sets, values, "lower" if kind == "chain-lower" else "upper"
-            )
+            kind = "lower" if kind == "chain-lower" else "upper"
+            sf.measures[name] = chain_measure(ground, scale, table, table.values(), kind)
     except DomainError as e:
         raise SpecValidationError(f"measure {name!r}: {e}", b.line) from None
 
@@ -379,12 +375,12 @@ def _build_comm(sf: SpecFile, b: _Block) -> None:
         raise SpecValidationError("comm source must be a plain scale", b.line)
     dst = _comm_target(sf, kv["to"], b.line)
     try:
-        if not b.body:
-            sf.comms[name] = CommFn.identity(src, dst)
-            return
         values = _rows(
             b, dst, "p", "source point", lambda token, line: _parse_rank(token, src, line)
         )
+        if not values:  # an empty body
+            sf.comms[name] = CommFn.identity(src, dst)
+            return
         if len(values) != src.size:
             raise SpecValidationError(f"comm {name!r} must be total on {src.id!r}", b.line)
         sf.comms[name] = CommFn(src, dst, tuple(values[p] for p in range(src.size)))
@@ -394,10 +390,13 @@ def _build_comm(sf: SpecFile, b: _Block) -> None:
 
 def parse(text: str) -> SpecFile:
     """Parse and fully validate a spec file."""
-    blocks = _collect_blocks(text)
+    lines = text.splitlines()
+    del text  # freed here if the caller kept no reference (as `cli` does)
+    blocks = _collect_blocks(lines)
     for b in blocks:
-        if b.kind in ("scale", "rscale", "labels", "omega") and b.body:
-            raise SpecParseError(f"{b.kind} does not take indented lines", b.body[0][0])
+        if b.kind in ("scale", "rscale", "labels", "omega"):
+            for line_no, _ in b.rows():
+                raise SpecParseError(f"{b.kind} does not take indented lines", line_no)
     sf = SpecFile()
     _build_scales(sf, blocks)
     _build_ground(sf, blocks)

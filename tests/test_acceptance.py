@@ -703,11 +703,11 @@ def test_criterion_11(capsys):
 
     with tempfile.TemporaryDirectory() as td:
         bad_syntax = os.path.join(td, "s.spec")
-        with open(bad_syntax, "w") as fh:
+        with open(bad_syntax, "w", encoding="utf-8") as fh:
             fh.write("scale m 3\nscale m 4\n")
         assert cli_run(["check", bad_syntax]) == 1
         bad_valid = os.path.join(td, "v.spec")
-        with open(bad_valid, "w") as fh:
+        with open(bad_valid, "w", encoding="utf-8") as fh:
             fh.write(
                 "scale m 3\nomega a b\nmeasure mu scale=m kind=table\n"
                 "  {a} rank:2\n  {a,b} rank:1\n"

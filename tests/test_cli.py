@@ -108,11 +108,11 @@ class TestSignedCommands:
         assert out == "interval=[0.25,0.5] sup=0.5\n"
 
     def test_eval_sym_negated(self, capsys, tmp_path):
-        text = Path(SIGNED).read_text().replace("a 0.75", "a -0.75").replace(
+        text = Path(SIGNED).read_text(encoding="utf-8").replace("a 0.75", "a -0.75").replace(
             "b -0.5", "b 0.5"
         )
         neg = tmp_path / "negated.spec"
-        neg.write_text(text)
+        neg.write_text(text, encoding="utf-8")
         out = run_ok(
             capsys,
             ["eval-sym", str(neg), "--measure", "mu", "--function", "f",
@@ -276,7 +276,7 @@ class TestCheckAndChains:
 class TestExitClasses:
     def test_syntax_error_is_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.spec"
-        bad.write_text("scale m 3\nscale m 4\n")
+        bad.write_text("scale m 3\nscale m 4\n", encoding="utf-8")
         assert run(["check", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "syntax error" in err and "line 2" in err
@@ -285,7 +285,7 @@ class TestExitClasses:
         bad = tmp_path / "bad.spec"
         bad.write_text(
             "scale m 3\nomega a b\nmeasure mu scale=m kind=table\n"
-            "  {a} rank:2\n  {a,b} rank:1\n"
+            "  {a} rank:2\n  {a,b} rank:1\n", encoding="utf-8"
         )
         assert run(["check", str(bad)]) == 2
         err = capsys.readouterr().err
@@ -297,7 +297,7 @@ class TestExitClasses:
             "scale m 3\nomega a b\nmeasure mu scale=m kind=table\n"
             "  {a} rank:1\n"
             "function f scale=m\n  a rank:2\n  b rank:0\n"
-            "comm id from=m to=m\n"
+            "comm id from=m to=m\n", encoding="utf-8"
         )
         assert run(
             ["eval", str(partial), "--measure", "mu", "--function", "f",
@@ -340,7 +340,7 @@ class TestExitClasses:
             "scale m 3\nomega a b\nmeasure mu scale=m kind=table\n"
             "  {a} rank:1\n"
             "function f scale=m\n  a rank:2\n  b rank:0\n"
-            "comm id from=m to=m\n"
+            "comm id from=m to=m\n", encoding="utf-8"
         )
         out = run_ok(
             capsys,
@@ -412,7 +412,7 @@ ERR_CASES = {
 def test_validation_error_text_is_pinned(case, tmp_path, capsys):
     body, message = ERR_CASES[case]
     spec = tmp_path / "bad.spec"
-    spec.write_text(ERR_HEAD + body)
+    spec.write_text(ERR_HEAD + body, encoding="utf-8")
     assert run(["check", str(spec)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -426,7 +426,7 @@ def test_colliding_reflection_labels_are_a_validation_error(tmp_path, capsys):
         "scale m 3\nrscale r 2\nlabels r 0 a -a\nomega x y\n"
         "measure mu scale=m kind=table\n  {x} rank:1\n  {y} rank:1\n"
         "function f scale=r\n  x a\n  y -a\n"
-        "comm k from=m to=r\n"
+        "comm k from=m to=r\n", encoding="utf-8"
     )
     message = (
         "validation error: line 3: reflection chain 'r': label '-a' collides "
@@ -444,7 +444,7 @@ def test_labels_spelled_like_rank_tokens_are_a_validation_error(tmp_path, capsys
     spec.write_text(
         "scale m 3\nlabels m lo rank:0 hi\nomega x\n"
         "measure mu scale=m kind=table\n  {x} hi\n"
-        "function f scale=m\n  x rank:1\n"
+        "function f scale=m\n  x rank:1\n", encoding="utf-8"
     )
     message = "validation error: line 2: chain 'm': label 'rank:0' starts with 'rank:'\n"
     for argv in (["check", str(spec)],
@@ -578,7 +578,7 @@ LOADER_CASES = {
 def test_loader_error_text_is_pinned(case, tmp_path, capsys):
     body, code, message = LOADER_CASES[case]
     spec = tmp_path / "bad.spec"
-    spec.write_text(ERR_HEAD + body)
+    spec.write_text(ERR_HEAD + body, encoding="utf-8")
     assert run(["check", str(spec)]) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message + "\n")
@@ -599,7 +599,7 @@ GROUND_CASES = {
 def test_ground_line_error_text_is_pinned(case, tmp_path, capsys):
     line, code, message = GROUND_CASES[case]
     spec = tmp_path / "bad.spec"
-    spec.write_text("scale m 4\n" + line)
+    spec.write_text("scale m 4\n" + line, encoding="utf-8")
     assert run(["check", str(spec)]) == code
     assert capsys.readouterr() == ("", message + "\n")
 
@@ -629,7 +629,7 @@ def test_quantile_point_on_unlabelled_scale(tmp_path, capsys):
     spec = tmp_path / "plain.spec"
     spec.write_text(
         "scale m 3\nomega a\nmeasure mu scale=m kind=table\n"
-        "function f scale=m\n  a 1\n"
+        "function f scale=m\n  a 1\n", encoding="utf-8"
     )
     argv = ["quantile", str(spec), "--measure", "mu", "--function", "f"]
     assert run(argv + ["--p", "2"]) == 0
@@ -707,7 +707,7 @@ EXTEND_SPEC = (
 def test_extension_of_a_partial_measure_is_pinned(extend, distribution, interval,
                                                   tmp_path, capsys):
     spec = tmp_path / "partial.spec"
-    spec.write_text(EXTEND_SPEC)
+    spec.write_text(EXTEND_SPEC, encoding="utf-8")
     common = [str(spec), "--measure", "mu", "--function", "g", "--extend", extend]
     out = run_ok(capsys, ["distribution", *common])
     assert out == "".join(f"x={x} value={v}\n" for x, v in enumerate(distribution))
@@ -733,12 +733,12 @@ PROCESS_CASES = {
 def test_module_entry_point_exit_code(code, tmp_path):
     text, argv, out, err = PROCESS_CASES[code]
     spec = tmp_path / "case.spec"
-    spec.write_text(text)
+    spec.write_text(text, encoding="utf-8")
     argv = [a.format(e1=E1, spec=spec) for a in argv]
     path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
         [sys.executable, "-m", "ordagg.cli", *argv],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, encoding="utf-8", timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)

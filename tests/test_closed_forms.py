@@ -250,7 +250,7 @@ def test_functionals_at_the_limit_never_build_the_table(no_sweeps):
 ])
 def test_cli_eval_at_the_limit_never_builds_the_table(argv, tmp_path, capsys, no_sweeps):
     spec = tmp_path / "wide.spec"
-    spec.write_text(wide_spec(16))
+    spec.write_text(wide_spec(16), encoding="utf-8")
     assert run([argv[0], str(spec), *argv[1:]]) == 0
     assert capsys.readouterr().out
     assert no_sweeps and all("values" not in vars(m) for m in no_sweeps)

@@ -1,9 +1,13 @@
 """Every name a library module imports is used in that module.
 
 `__init__.py` imports names to re-export them, so it is not checked.
+The CLI does not import the brute-force oracles unless a command needs them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,13 @@ def test_modules_are_found():
 def test_every_import_is_used(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert sorted(imported_names(tree) - used_names(tree)) == []
+
+
+def test_cli_does_not_load_the_oracles():
+    """Only `oracle-compare` needs the brute-force oracles; every other
+    query starts without them."""
+    code = "import sys, ordagg.cli; print('ordagg.oracle' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          encoding="utf-8", env=env, check=True)
+    assert done.stdout == "False\n"

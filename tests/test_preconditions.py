@@ -141,6 +141,27 @@ class TestCorrespondences:
         with raises(DomainError, "value rank 3 outside chain 'l'"):
             TotalFn(M3, L3, (0, 3, 1))
 
+    @pytest.mark.parametrize("call, arg, message", [
+        (TotalFn(M3, L3, (2, 1, 0)), -1, "point -1 outside chain 'm'"),
+        (TotalFn(M3, L3, (2, 1, 0)), 3, "point 3 outside chain 'm'"),
+        (TotalFn(M3, L3, (2, 1, 0)), True, "point True outside chain 'm'"),
+        (TotalFn(M3, L3, (2, 1, 0)), 1.0, "point 1.0 outside chain 'm'"),
+        (TotalFn(M3, L3, (2, 1, 0)).elem, -1, "point -1 outside chain 'm'"),
+        (F, -1, "element index -1 outside the ground set"),
+        (F, 2, "element index 2 outside the ground set"),
+        (F, True, "element index True outside the ground set"),
+        (CommFn.identity(M3), -2, "point -2 outside chain 'm'"),
+        (CommFn.identity(M3), False, "point False outside chain 'm'"),
+        (CommFn.identity(M3).as_corr(), True,
+         "point True not in the domain of the correspondence"),
+        (CommFn.identity(M3).as_corr(), -1,
+         "point -1 not in the domain of the correspondence"),
+    ])
+    def test_calls_outside_the_domain(self, call, arg, message):
+        """A negative, too large or non-int point never indexes the table."""
+        with raises(DomainError, message):
+            call(arg)
+
     @pytest.mark.parametrize("product", [inner_product, dual_product])
     def test_products_on_mismatched_pairs(self, product):
         phi = CommFn.identity(M3).as_corr()

@@ -16,8 +16,8 @@ from ordagg.specfile import parse_subset
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
-E1_TEXT = (SPEC_DIR / "e1.spec").read_text()
-SIGNED_TEXT = (SPEC_DIR / "signed.spec").read_text()
+E1_TEXT = (SPEC_DIR / "e1.spec").read_text(encoding="utf-8")
+SIGNED_TEXT = (SPEC_DIR / "signed.spec").read_text(encoding="utf-8")
 
 
 class TestParseGolden:
@@ -279,6 +279,19 @@ ROW_CASES = {
                             (SpecValidationError, 5, "value '01' is not a label of scale 'm'")),
     "plain-rank-token": (PLAIN_HEAD, "  {a} rank:2\n  {b} rank:0\n  {b} 1\n",
                          (SpecParseError, 7, "duplicate subset {b}")),
+    "bad-row-after-repeat": (ROW_HEAD, "  {a} mid\n  {a} mid\n  {b} huge\n",
+                             (SpecValidationError, 7, "value 'huge' is not a label of scale 'm'")),
+    "directive-after-bad-row": (ROW_HEAD, "  {a} huge\n  {b} mid\nscale x 2 y\nfoo 1\n",
+                                (SpecParseError, 8, "unknown directive 'foo'")),
+    "comment-lines-in-body": (ROW_HEAD,
+                              "  {a} mid\n  # note\n# note\n \t \n  {a,b} hi\n  {a} mid\n",
+                              (SpecParseError, 10, "duplicate subset {a}")),
+    "comment-lines-before-bad-row": (ROW_HEAD, "  # note\n\t# note\n\n  {b} huge\n",
+                                     (SpecValidationError, 8,
+                                      "value 'huge' is not a label of scale 'm'")),
+    "indented-after-omega": ("scale m 4\nomega a b c\n",
+                             "  # note\n\n  {a} mid\nmeasure mu scale=m kind=table\n",
+                             (SpecParseError, 5, "omega does not take indented lines")),
 }
 
 
