@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from operator import gt
 
 from .chains import Chain, ChainElem, ReflChain, bad_ranks
-from .correspondences import Corr, TotalFn, inner_product, dual_product, inverse, \
-    saturate, sharp_saturate
+from .correspondences import Corr, TotalFn, _graph, inner_product, dual_product, \
+    inverse, saturate, sharp_saturate
 from .errors import ChainMismatchError, DomainError
 from .intervals import Interval, RInterval, refl_interval, svee_intervals
 from .measures import GroundSet, Measure
@@ -88,8 +88,7 @@ class CommFn:
         return self.values[p]
 
     def as_corr(self) -> Corr:
-        table = {p: Interval(self.dst, v, v) for p, v in enumerate(self.values)}
-        return Corr(self.src, self.dst, table)
+        return _graph(self.src, self.dst, self.values)
 
     @classmethod
     def identity(cls, src: Chain, dst: Chain | None = None) -> "CommFn":

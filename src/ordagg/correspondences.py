@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
 
 from .chains import Chain, ChainElem, bad_ranks
 from .errors import ChainMismatchError, DomainError
 from .intervals import Interval, Rel, sqcup, topkis_cmp
+
+_CHAIN, _LO, _HI = attrgetter("chain"), attrgetter("lo"), attrgetter("hi")
 
 
 @dataclass(frozen=True)
@@ -32,16 +35,24 @@ class Corr:
     table: Mapping[int, Interval] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
-        clean: dict[int, Interval] = {}
-        for x, iv in self.table.items():
+        # C-level passes over the keys and the value chains; `count` tries
+        # identity before `==`, so an equal chain built apart still passes
+        table = dict(self.table)
+        if not (set(map(type, table)) <= {int}
+                and (not table or 0 <= min(table) and max(table) < self.src.size)
+                and list(map(_CHAIN, table.values())).count(self.dst) == len(table)):
+            self._raise_first_offender(table)
+        object.__setattr__(self, "table", MappingProxyType(table))
+
+    def _raise_first_offender(self, table: dict) -> None:
+        """Raise for the first bad key or value in table order."""
+        for x, iv in table.items():
             if type(x) is not int or not 0 <= x < self.src.size:
                 raise DomainError(f"domain point {x} outside chain {self.src.id!r}")
             if iv.chain != self.dst:
                 raise ChainMismatchError(
                     f"value at {x} lies over chain {iv.chain.id!r}, expected {self.dst.id!r}"
                 )
-            clean[x] = iv
-        object.__setattr__(self, "table", MappingProxyType(clean))
 
     def __reduce__(self):  # a read-only mapping does not pickle; its table does
         return Corr, (self.src, self.dst, dict(self.table))
@@ -85,8 +96,14 @@ class TotalFn:
         return self.dst.elem(self(x))
 
     def as_corr(self) -> Corr:
-        table = {x: Interval(self.dst, v, v) for x, v in enumerate(self.values)}
-        return Corr(self.src, self.dst, table)
+        return _graph(self.src, self.dst, self.values)
+
+
+def _graph(src: Chain, dst: Chain, values: tuple[int, ...]) -> Corr:
+    """The graph of a total function given by its ranks: one singleton
+    per distinct value, shared by every point that takes it."""
+    single = {v: Interval(dst, v, v) for v in set(values)}
+    return Corr(src, dst, dict(enumerate(map(single.__getitem__, values))))
 
 
 def _check_corr_pair(c1: Corr, c2: Corr) -> None:
@@ -168,15 +185,19 @@ def _require_total(c: Corr, role: str) -> None:
         )
 
 
+def _endpoints(c: Corr) -> tuple[list[int], list[int]]:
+    """Lower and upper endpoints of a total correspondence, point by point."""
+    ivs = list(map(c.table.__getitem__, range(c.src.size)))
+    return list(map(_LO, ivs)), list(map(_HI, ivs))
+
+
 def inner_product(phi: Corr, psi: Corr) -> Interval:
     """Join over the source of pointwise meets: the ordinal inner product."""
     _check_corr_pair(phi, psi)
     _require_total(phi, "inner product factor")
     _require_total(psi, "inner product factor")
-    p, q, points = phi.table, psi.table, range(phi.src.size)
-    lo = max(min(p[x].lo, q[x].lo) for x in points)
-    hi = max(min(p[x].hi, q[x].hi) for x in points)
-    return Interval(phi.dst, lo, hi)
+    (p_lo, p_hi), (q_lo, q_hi) = _endpoints(phi), _endpoints(psi)
+    return Interval(phi.dst, max(map(min, p_lo, q_lo)), max(map(min, p_hi, q_hi)))
 
 
 def dual_product(phi: Corr, psi: Corr) -> Interval:
@@ -184,10 +205,8 @@ def dual_product(phi: Corr, psi: Corr) -> Interval:
     _check_corr_pair(phi, psi)
     _require_total(phi, "dual product factor")
     _require_total(psi, "dual product factor")
-    p, q, points = phi.table, psi.table, range(phi.src.size)
-    lo = min(max(p[x].lo, q[x].lo) for x in points)
-    hi = min(max(p[x].hi, q[x].hi) for x in points)
-    return Interval(phi.dst, lo, hi)
+    (p_lo, p_hi), (q_lo, q_hi) = _endpoints(phi), _endpoints(psi)
+    return Interval(phi.dst, min(map(max, p_lo, q_lo)), min(map(max, p_hi, q_hi)))
 
 
 def unit_corr(a: ChainElem, dst: Chain | None = None) -> Corr:
@@ -198,12 +217,31 @@ def unit_corr(a: ChainElem, dst: Chain | None = None) -> Corr:
     picks out the value at a.
     """
     dst = dst if dst is not None else a.chain
-    t, b = dst.size - 1, 0
-    table = {
-        x: Interval(dst, t, t) if x >= a.rank else Interval(dst, b, b)
-        for x in range(a.chain.size)
-    }
-    return Corr(a.chain, dst, table)
+    t = dst.size - 1
+    values = [0] * a.rank + [t] * (a.chain.size - a.rank)
+    return _graph(a.chain, dst, tuple(values))
+
+
+def _saturation(psi: Corr, sharp: bool) -> Corr:
+    """The saturation of psi, off-domain values collapsed to their
+    suprema when sharp.  The value only changes at domain points, so each
+    run of points between two of them shares one interval, and the sharp
+    runs share one singleton per supremum."""
+    if not is_decreasing(psi):
+        raise DomainError("saturation requires a decreasing correspondence")
+    table = psi.table
+    acc = off = Interval(psi.dst, 0, 0)
+    out = [acc] * psi.src.size
+    d = sorted(table)
+    for below, u in reversed(list(zip([-1] + d, d))):
+        acc = sqcup(acc, table[u])
+        if not sharp:
+            off = acc
+        elif off.hi != acc.hi:
+            off = Interval(psi.dst, acc.hi, acc.hi)
+        out[below + 1 : u] = [off] * (u - below - 1)
+        out[u] = acc
+    return Corr(psi.src, psi.dst, dict(enumerate(out)))
 
 
 def saturate(psi: Corr) -> Corr:
@@ -214,15 +252,7 @@ def saturate(psi: Corr) -> Corr:
     the join); with no domain point above x the value is the bottom
     singleton.  The result is total, decreasing, and extends psi.
     """
-    if not is_decreasing(psi):
-        raise DomainError("saturation requires a decreasing correspondence")
-    acc = Interval(psi.dst, 0, 0)
-    table: dict[int, Interval] = {}
-    for x in range(psi.src.size - 1, -1, -1):
-        if x in psi.table:
-            acc = sqcup(acc, psi.table[x])
-        table[x] = acc
-    return Corr(psi.src, psi.dst, dict(reversed(table.items())))
+    return _saturation(psi, sharp=False)
 
 
 def _decreasing_across_gaps(psi: Corr) -> bool:
@@ -251,9 +281,4 @@ def sharp_saturate(psi: Corr) -> Corr:
             "sharp saturation requires a correspondence decreasing across "
             "its domain gaps"
         )
-    table = saturate(psi).table.copy()
-    for x in range(psi.src.size):
-        if x not in psi.table:
-            hi = table[x].hi
-            table[x] = Interval(psi.dst, hi, hi)
-    return Corr(psi.src, psi.dst, table)
+    return _saturation(psi, sharp=True)

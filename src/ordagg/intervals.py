@@ -32,7 +32,8 @@ class Interval:
     hi: int
 
     def __post_init__(self):
-        if not 0 <= self.lo <= self.hi < self.chain.size:
+        if not (type(self.lo) is int and type(self.hi) is int
+                and 0 <= self.lo <= self.hi < self.chain.size):
             raise DomainError(
                 f"invalid interval endpoints [{self.lo},{self.hi}] for chain "
                 f"{self.chain.id!r} of size {self.chain.size}"

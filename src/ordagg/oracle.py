@@ -166,13 +166,11 @@ def oracle_saturation(psi: Corr, x: int) -> Interval:
     return _set_to_interval(psi.dst, _literal_product_sets(terms))
 
 
-def oracle_fan_sugeno(m: Measure, f: LatticeFn, ell: CommFn, variant: str) -> Interval:
-    """Aggregate recomputed from raw definitions: level sets, a literal
-    graph transpose, literal saturation, and an enumerated product."""
-    f = f.as_plain()
-    lsize, msize = f.scale.size, m.scale.size
+def _quantile_sets(m: Measure, f: LatticeFn, variant: str) -> dict[int, set[int]]:
+    """The quantile correspondence of a plain-scale f as element sets, from
+    level sets, a literal graph transpose and literal saturation."""
     g = []
-    for x in range(lsize):
+    for x in range(f.scale.size):
         mask = 0
         for i, v in enumerate(f.values):
             if v >= x:
@@ -184,16 +182,36 @@ def oracle_fan_sugeno(m: Measure, f: LatticeFn, ell: CommFn, variant: str) -> In
         ginv.setdefault(y, set()).add(x)
 
     q: dict[int, set[int]] = {}
-    for p in range(msize):
+    for p in range(m.scale.size):
         if p in ginv:
             q[p] = set(ginv[p])
             continue
         terms = [set(xs) if u >= p else {0} for u, xs in ginv.items()]
         plain = _literal_product_sets(terms)
         q[p] = plain if variant == "plain" else {max(plain)}
+    return q
 
-    terms = [{min(ell.values[p], v) for v in q[p]} for p in range(msize)]
+
+def oracle_fan_sugeno(m: Measure, f: LatticeFn, ell: CommFn, variant: str) -> Interval:
+    """Aggregate recomputed from raw definitions: level sets, a literal
+    graph transpose, literal saturation, and an enumerated product."""
+    f = f.as_plain()
+    q = _quantile_sets(m, f, variant)
+    terms = [{min(ell.values[p], v) for v in q[p]} for p in range(m.scale.size)]
     return _set_to_interval(f.scale, _literal_product_sets(terms))
+
+
+def oracle_fan_sugeno_dual(m: Measure, f: LatticeFn, ell: CommFn, variant: str) -> Interval:
+    """Dual aggregate from its definition: the meet over the measure scale
+    of the pointwise joins of ell with the quantile sets, each join and
+    the meet enumerated element by element from the top singleton."""
+    f = f.as_plain()
+    q = _quantile_sets(m, f, variant)
+    acc = {f.scale.size - 1}
+    for p in range(m.scale.size):
+        joins = {max(ell.values[p], v) for v in q[p]}
+        acc = {min(a, b) for a in acc for b in joins}
+    return _set_to_interval(f.scale, acc)
 
 
 def oracle_sugeno_integral(m: Measure, f: LatticeFn) -> ChainElem:

@@ -886,3 +886,31 @@ def test_signed_functionals_build_no_chain(monkeypatch):
     ordinal_distance(mu, ell, f, g)
     kyfan_norm(mu, f)
     assert built == []
+
+
+@pytest.mark.parametrize("functional", [fan_sugeno, fan_sugeno_dual])
+@pytest.mark.parametrize("variant", ["sharp", "plain"])
+def test_route_builds_intervals_per_value_not_per_point(monkeypatch, functional, variant):
+    """Each stage of the route builds one interval per distinct value or
+    per step of the distribution, not one per chain point: at most
+    5 + 4(n+2) for a comm with 5 distinct values, on 1,501- and 3,001-point
+    chains where one interval per point would be about 6,000."""
+    rng = random.Random(31)
+    n, m, l = 8, Chain("m", 1501), Chain("l", 3001)
+    ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+    mu = rand_measure(rng, ground, m)
+    f = rand_fn(rng, ground, l)
+    cuts = sorted(rng.sample(range(1, m.size), 4))
+    ell = CommFn(m, l, tuple(sum(p >= c for c in cuts) * 700 for p in range(m.size)))
+    assert len(set(ell.values)) == 5
+    expected = functional(mu, f, ell, variant)
+    built = []
+    post_init = Interval.__post_init__
+
+    def counted(self):
+        built.append((self.lo, self.hi))
+        post_init(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counted)
+    assert functional(mu, f, ell, variant) == expected
+    assert 0 < len(built) <= 5 + 4 * (n + 2)

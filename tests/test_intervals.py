@@ -1,6 +1,7 @@
 """Interval lattice laws and the interval reflection lattice."""
 
 import itertools
+import re
 from dataclasses import fields
 
 import pytest
@@ -51,6 +52,20 @@ class TestConstruction:
             Interval(C5, -1, 2)
         with pytest.raises(DomainError):
             Interval(C5, 0, 5)
+
+    @pytest.mark.parametrize("lo, hi, shown", [
+        (True, 1.0, "[True,1.0]"),
+        (0, 1.0, "[0,1.0]"),
+        (1.0, 1, "[1.0,1]"),
+        (False, 2, "[False,2]"),
+        (0, True, "[0,True]"),
+        (2.5, 3, "[2.5,3]"),
+    ])
+    def test_endpoints_must_be_ints(self, lo, hi, shown):
+        """`True` and `1.0` are not ranks, even where they compare like one."""
+        with pytest.raises(DomainError, match=re.escape(
+                f"invalid interval endpoints {shown} for chain 'c5' of size 5")):
+            Interval(C5, lo, hi)
 
     def test_elements(self):
         assert list(iv(1, 3).elements()) == [1, 2, 3]

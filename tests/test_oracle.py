@@ -16,7 +16,9 @@ from ordagg import (
     Measure,
     SetFamily,
     TotalFn,
+    distribution,
     fan_sugeno,
+    fan_sugeno_dual,
     inverse,
     is_minitive,
     quantile,
@@ -29,6 +31,7 @@ from ordagg import (
 )
 from ordagg.oracle import (
     oracle_fan_sugeno,
+    oracle_fan_sugeno_dual,
     oracle_inverse,
     oracle_lower_chain,
     oracle_minitive,
@@ -195,6 +198,57 @@ class TestFanSugenoOracle:
             q = quantile(mu, f, "plain")
             for p in range(m.size):
                 assert q.table[p] == oracle_saturation(ginv, p)
+
+
+class TestFanSugenoDualOracle:
+    def test_grid_example(self):
+        grid, mu, f = e1_setup()
+        ident = CommFn.identity(grid)
+        for variant in ("sharp", "plain"):
+            assert oracle_fan_sugeno_dual(mu, f, ident, variant) == fan_sugeno_dual(
+                mu, f, ident, variant
+            )
+
+    def test_exhaustive_small(self):
+        """Every monotone full measure on up to 3 elements into a 4-point
+        chain and every function into it.  The aggregate depends on the
+        pair only through its distribution function, so each distinct
+        distribution (20 in all) is checked against the identity and two
+        fixed increasing comms, in both variants; checking every pair
+        would repeat each of those 120 products about 1,800 times."""
+        c4 = Chain("c4", 4)
+        comms = [CommFn.identity(c4), CommFn(c4, c4, (0, 0, 2, 3)), CommFn(c4, c4, (1, 1, 1, 3))]
+        seen, pairs = set(), 0
+        for n in (1, 2, 3):
+            ground = GroundSet(tuple("abc"[:n]))
+            fs = [LatticeFn(ground, c4, v) for v in itertools.product(range(4), repeat=n)]
+            for mu, f in itertools.product(list(all_monotone_measures(ground, c4)), fs):
+                pairs += 1
+                g = distribution(mu, f).values
+                if g in seen:
+                    continue
+                seen.add(g)
+                for ell, variant in itertools.product(comms, ("sharp", "plain")):
+                    assert fan_sugeno_dual(mu, f, ell, variant) == oracle_fan_sugeno_dual(
+                        mu, f, ell, variant
+                    ), (mu.values, f.values, ell.values, variant)
+        assert pairs == 4 * 1 + 16 * 16 + 64 * 571
+        # every decreasing g with g(0) at the top: 3 more values out of 4
+        assert len(seen) == 20
+
+    def test_matches_fast_path_random(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            ground = GroundSet(tuple("abcde"[: rng.randint(1, 5)]))
+            l = Chain("l", rng.randint(1, 8))
+            m = Chain("m", rng.randint(2, 8))
+            mu = rand_measure(rng, ground, m)
+            ell = rand_comm(rng, m, l)
+            f = rand_fn(rng, ground, l)
+            for variant in ("sharp", "plain"):
+                assert oracle_fan_sugeno_dual(mu, f, ell, variant) == fan_sugeno_dual(
+                    mu, f, ell, variant
+                )
 
 
 class TestMeasureOracles:

@@ -133,6 +133,31 @@ class TestCorrespondences:
         with raises(ChainMismatchError, "value at 1 lies over chain 'm', expected 'l'"):
             Corr(M3, L3, {0: Interval(L3, 0, 0), 1: Interval(M3, 0, 0)})
 
+    # Tables holding a bool key, an out-of-range key and a value over the
+    # chain 'm', in different insertion orders: the first one in table
+    # order is the one reported.
+    @pytest.mark.parametrize("table, cls, message", [
+        ({True: Interval(L3, 0, 0), 3: Interval(L3, 0, 0), 0: Interval(M3, 0, 0)},
+         DomainError, "domain point True outside chain 'm'"),
+        ({3: Interval(L3, 0, 0), True: Interval(L3, 0, 0), 0: Interval(M3, 0, 0)},
+         DomainError, "domain point 3 outside chain 'm'"),
+        ({0: Interval(M3, 0, 0), True: Interval(L3, 0, 0), 3: Interval(L3, 0, 0)},
+         ChainMismatchError, "value at 0 lies over chain 'm', expected 'l'"),
+        ({2: Interval(L3, 1, 1), 1: Interval(M3, 0, 0), -1: Interval(L3, 0, 0)},
+         ChainMismatchError, "value at 1 lies over chain 'm', expected 'l'"),
+        ({1: Interval(L3, 1, 1), -1: Interval(M3, 0, 0), False: Interval(L3, 0, 0)},
+         DomainError, "domain point -1 outside chain 'm'"),
+    ])
+    def test_corr_reports_its_first_offender(self, table, cls, message):
+        with raises(cls, message):
+            Corr(M3, L3, table)
+
+    def test_corr_value_over_an_equal_chain_object(self):
+        twin = Chain("l", 3)
+        assert twin is not L3
+        c = Corr(M3, L3, {0: Interval(twin, 0, 1), 2: Interval(L3, 2, 2)})
+        assert c.table[0] == Interval(L3, 0, 1)
+
     def test_total_fn_length(self):
         with raises(DomainError, "function table has 2 entries, expected 3"):
             TotalFn(M3, L3, (0, 1))
