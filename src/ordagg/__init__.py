@@ -63,20 +63,14 @@ from .errors import (
     SpecValidationError,
 )
 from .intervals import (
-    Half,
     Interval,
     Rel,
     RInterval,
     abs_interval,
     format_interval,
     format_rinterval,
-    negative_rinterval,
-    neutral_rinterval,
-    positive_rinterval,
     refl_interval,
     rinterval_leq,
-    rinterval_sup,
-    singleton,
     sqcap,
     sqcap_family,
     sqcup,

@@ -78,6 +78,10 @@ class Chain:
         return 0, self.size - 1
 
     def label(self, rank: int) -> str:
+        if type(rank) is not int or not 0 <= rank < self.size:
+            raise DomainError(
+                f"no rank {rank!r} on chain {self.id!r} of size {self.size}"
+            )
         if self.labels is not None:
             return self.labels[rank]
         return str(rank)
@@ -199,6 +203,11 @@ class ReflChain:
         return -self.half_size, self.half_size
 
     def label(self, srank: int) -> str:
+        if type(srank) is not int or not -self.half_size <= srank <= self.half_size:
+            raise DomainError(
+                f"no signed rank {srank!r} on reflection chain {self.id!r} "
+                f"of half size {self.half_size}"
+            )
         base = self.labels[abs(srank)] if self.labels is not None else str(abs(srank))
         return base if srank >= 0 else "-" + base
 

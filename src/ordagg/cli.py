@@ -13,7 +13,7 @@ import sys
 from . import aggregation as agg
 from . import metrics
 from .errors import DomainError, SpecError, SpecParseError, SpecValidationError
-from .intervals import format_interval, format_rinterval, rinterval_sup
+from .intervals import format_interval, format_rinterval
 from .measures import (
     Measure,
     inner_extension,
@@ -209,7 +209,7 @@ def _cmd_eval_sym(sf: SpecFile, args) -> None:
     ell = _pick(sf.comms, args.comm, "comm")
     k = _pick(sf.comms, args.comm_neg, "comm-neg") if args.comm_neg else None
     r = agg.symmetric_fan_sugeno(m, f, ell, k, args.variant)
-    print(f"interval={format_rinterval(r)} sup={rinterval_sup(r)}")
+    print(f"interval={format_rinterval(r)} sup={r.chain.label(r.hi)}")
 
 
 def _cmd_eval_asym(sf: SpecFile, args) -> None:
@@ -218,7 +218,7 @@ def _cmd_eval_asym(sf: SpecFile, args) -> None:
     ell_minus = _pick(sf.comms, args.comm_neg, "comm-neg")
     ell_plus = _pick(sf.comms, args.comm_pos, "comm-pos")
     r = agg.asymmetric_fan_sugeno(m, f, ell_minus, ell_plus, args.variant)
-    print(f"interval={format_rinterval(r)} sup={rinterval_sup(r)}")
+    print(f"interval={format_rinterval(r)} sup={r.chain.label(r.hi)}")
 
 
 def _cmd_distance(sf: SpecFile, args) -> None:

@@ -23,7 +23,9 @@ _CHAIN, _LO, _HI = attrgetter("chain"), attrgetter("lo"), attrgetter("hi")
 
 @dataclass(frozen=True)
 class Corr:
-    """A partial map from source ranks to intervals over the destination.
+    """A partial map from source ranks to intervals over the destination:
+    the paper's interval-valued correspondence, identified with its graph
+    (construction checks: `tests/test_preconditions.py`).
 
     The table's keys are the domain; values are intervals over dst.
     Frozen: the table is a read-only copy of the mapping given, and the
@@ -71,7 +73,9 @@ class Corr:
 
 @dataclass(frozen=True)
 class TotalFn:
-    """A total function between chains, stored as a rank tuple."""
+    """A total function between chains, stored as a rank tuple; `as_corr`
+    gives its graph, the paper's total monotone correspondence when the
+    ranks are monotone (`oracle_inverse` checks inverses of such graphs)."""
 
     src: Chain
     dst: Chain
@@ -91,9 +95,6 @@ class TotalFn:
         if type(x) is not int or not 0 <= x < self.src.size:
             raise DomainError(f"point {x} outside chain {self.src.id!r}")
         return self.values[x]
-
-    def elem(self, x: int) -> ChainElem:
-        return self.dst.elem(self(x))
 
     def as_corr(self) -> Corr:
         return _graph(self.src, self.dst, self.values)
@@ -118,7 +119,9 @@ def _check_corr_pair(c1: Corr, c2: Corr) -> None:
 
 
 def is_increasing(c: Corr) -> bool:
-    """Pointwise interval-order check over the domain.
+    """Pointwise interval-order check over the domain: the paper's
+    increasing correspondence, checked against the literal graph-rectangle
+    criterion (`rectangle_increasing` in `tests/helpers.py`).
 
     For interval-valued tables this coincides with the graph rectangle
     condition restricted to domain points, so checking consecutive domain
@@ -140,7 +143,9 @@ def is_decreasing(c: Corr) -> bool:
 
 
 def is_sharply_monotone(c: Corr) -> bool:
-    """No two distinct domain points share more than one value.
+    """No two distinct domain points share more than one value: the
+    paper's sharp monotonicity (examples and preservation under
+    `sharp_saturate` in `tests/test_correspondences.py`).
 
     A two-element overlap between distinct columns spans a non-degenerate
     rectangle of the graph.
@@ -157,7 +162,8 @@ def is_sharply_monotone(c: Corr) -> bool:
 
 
 def inverse(c: Corr) -> Corr:
-    """Transpose of the graph, indexed by destination ranks.
+    """Transpose of the graph, indexed by destination ranks: the paper's
+    inverse correspondence, checked against `oracle.oracle_inverse`.
 
     For monotone input the transpose is interval-valued; a transpose with
     gaps (possible for non-monotone tables) is rejected at its lowest gap.
@@ -192,7 +198,8 @@ def _endpoints(c: Corr) -> tuple[list[int], list[int]]:
 
 
 def inner_product(phi: Corr, psi: Corr) -> Interval:
-    """Join over the source of pointwise meets: the ordinal inner product."""
+    """Join over the source of pointwise meets: the paper's inner product,
+    checked through `fan_sugeno` against `oracle.oracle_fan_sugeno`."""
     _check_corr_pair(phi, psi)
     _require_total(phi, "inner product factor")
     _require_total(psi, "inner product factor")
@@ -201,7 +208,8 @@ def inner_product(phi: Corr, psi: Corr) -> Interval:
 
 
 def dual_product(phi: Corr, psi: Corr) -> Interval:
-    """Meet over the source of pointwise joins."""
+    """Meet over the source of pointwise joins: the paper's dual product,
+    checked through `fan_sugeno_dual` against `oracle.oracle_fan_sugeno_dual`."""
     _check_corr_pair(phi, psi)
     _require_total(phi, "dual product factor")
     _require_total(psi, "dual product factor")
@@ -210,7 +218,8 @@ def dual_product(phi: Corr, psi: Corr) -> Interval:
 
 
 def unit_corr(a: ChainElem, dst: Chain | None = None) -> Corr:
-    """Indicator of the upper interval [a, top]: the unit vector at a.
+    """Indicator of the upper interval [a, top]: the paper's unit vector at
+    a (`TestUnitCorr` in `tests/test_correspondences.py`).
 
     Values are the top singleton at and above a, the bottom singleton
     below.  Against any total decreasing correspondence the inner product
@@ -245,7 +254,8 @@ def _saturation(psi: Corr, sharp: bool) -> Corr:
 
 
 def saturate(psi: Corr) -> Corr:
-    """Totalize a decreasing correspondence by joins over the upper domain.
+    """Totalize a decreasing correspondence by joins over the upper domain:
+    the paper's saturation, checked against `oracle.oracle_saturation`.
 
     The value at x is the join of all table values at domain points >= x
     (missing points contribute the bottom singleton, which is neutral for
@@ -270,7 +280,9 @@ def _decreasing_across_gaps(psi: Corr) -> bool:
 
 
 def sharp_saturate(psi: Corr) -> Corr:
-    """Saturation with off-domain values collapsed to their suprema.
+    """Saturation with off-domain values collapsed to their suprema: the
+    paper's sharp saturation, checked through the sharp `fan_sugeno`
+    against `oracle.oracle_fan_sugeno`.
 
     Agrees with psi on its domain; elsewhere the value is the singleton at
     the top of the plain saturation.  Preserves (sharp) decreasingness,

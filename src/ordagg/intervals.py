@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .chains import Chain, ChainElem, ReflChain
+from .chains import Chain, ReflChain
 from .errors import ChainMismatchError, DomainError
 
 
@@ -44,13 +44,6 @@ class Interval:
 
     def elements(self) -> range:
         return range(self.lo, self.hi + 1)
-
-    def is_singleton(self) -> bool:
-        return self.lo == self.hi
-
-
-def singleton(x: ChainElem) -> Interval:
-    return Interval(x.chain, x.rank, x.rank)
 
 
 def format_interval(iv: Interval) -> str:
@@ -117,12 +110,6 @@ def sqcap_family(intervals) -> Interval:
     return Interval(ivs[0].chain, min(iv.lo for iv in ivs), min(iv.hi for iv in ivs))
 
 
-class Half(str, Enum):
-    NEGATIVE = "negative"
-    NEUTRAL = "neutral"
-    POSITIVE = "positive"
-
-
 @dataclass(frozen=True)
 class RInterval:
     """A nonvoid interval inside one half of a reflection chain, as a pair
@@ -145,41 +132,12 @@ class RInterval:
                 f"signed interval [{self.lo},{self.hi}] crosses the reference point"
             )
 
-    @property
-    def half(self) -> Half:
-        if self.lo < 0:
-            return Half.NEGATIVE
-        return Half.POSITIVE if self.hi > 0 else Half.NEUTRAL
-
-
-def positive_rinterval(chain: ReflChain, lo: int, hi: int) -> RInterval:
-    x = RInterval(chain, lo, hi)
-    if x.lo < 0:
-        raise DomainError("positive-half interval with a negative endpoint")
-    return x
-
-
-def negative_rinterval(chain: ReflChain, lo: int, hi: int) -> RInterval:
-    x = RInterval(chain, lo, hi)
-    if x.hi > 0:
-        raise DomainError("negative-half interval with a positive endpoint")
-    return x
-
-
-def neutral_rinterval(chain: ReflChain) -> RInterval:
-    return RInterval(chain, 0, 0)
-
 
 def format_rinterval(x: RInterval) -> str:
     c = x.chain
     if x.lo < 0:
         return f"-[{c.label(-x.hi)},{c.label(-x.lo)}]"
     return f"[{c.label(x.lo)},{c.label(x.hi)}]"
-
-
-def rinterval_sup(x: RInterval):
-    """Least upper bound of the interval's elements, as a chain point."""
-    return x.chain.elem(x.hi)
 
 
 def rinterval_leq(x: RInterval, y: RInterval) -> bool:
@@ -231,4 +189,4 @@ def svee_intervals(x: RInterval, y: RInterval) -> RInterval:
         return x
     if le and not ge:
         return y
-    return neutral_rinterval(x.chain)
+    return RInterval(x.chain, 0, 0)

@@ -211,9 +211,6 @@ class Measure:
             )
         return self._at(mask)
 
-    def elem(self, mask: int) -> ChainElem:
-        return self.scale.elem(self(mask))
-
 
 def _bit_layers(n: int):
     """Slice pairs (without, with) over a table indexed by subset mask.

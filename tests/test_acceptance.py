@@ -34,6 +34,7 @@ from ordagg import (
     LatticeFn,
     Measure,
     ReflChain,
+    RInterval,
     SetFamily,
     asymmetric_fan_sugeno,
     co_unanimity,
@@ -48,12 +49,10 @@ from ordagg import (
     minitive_chain,
     negate_fn,
     neg_part,
-    neutral_rinterval,
     ordinal_distance,
     ordinal_norm,
     outer_extension,
     pos_part,
-    positive_rinterval,
     quantile,
     refl,
     refl_interval,
@@ -546,7 +545,7 @@ def test_criterion_8():
     mu = Measure(SetFamily.full(G2), m5, {0: 0, 1: 2, 2: 1, 3: 4})
     f = LatticeFn(G2, r4, (3, -2))
     ell = CommFn.identity(m5, r4.positive_half())
-    assert symmetric_fan_sugeno(mu, f, ell) == positive_rinterval(r4, 1, 2)
+    assert symmetric_fan_sugeno(mu, f, ell) == RInterval(r4, 1, 2)
     # incomparable part aggregates collapse to the reference point
     g3 = GroundSet(("a", "b", "c"))
     m4, r3 = Chain("m", 4), ReflChain("r", 3)
@@ -558,14 +557,14 @@ def test_criterion_8():
     sp = fan_sugeno(mu1, pos_part(f1), ell1)
     sn = fan_sugeno(mu1, neg_part(f1), ell1)
     assert topkis_cmp(sp, sn).value == "incomparable"
-    assert symmetric_fan_sugeno(mu1, f1, ell1) == neutral_rinterval(r3)
+    assert symmetric_fan_sugeno(mu1, f1, ell1) == RInterval(r3, 0, 0)
     mu2 = Measure(
         SetFamily.full(g3), m4, {0: 0, 1: 3, 2: 3, 3: 3, 4: 0, 5: 3, 6: 3, 7: 3}
     )
     ell2 = CommFn(m4, r3.positive_half(), (0, 1, 2, 2))
     k2 = CommFn(m4, r3.positive_half(), (0, 0, 0, 3))
     f2 = LatticeFn(g3, r3, (-3, 1, -2))
-    assert symmetric_fan_sugeno(mu2, f2, ell2, k2) == neutral_rinterval(r3)
+    assert symmetric_fan_sugeno(mu2, f2, ell2, k2) == RInterval(r3, 0, 0)
     # asymmetric monotonicity
     for _ in range(300):
         ground = GroundSet(tuple("abcde"[: rng.randint(1, 5)]))

@@ -11,11 +11,11 @@ from ordagg import (
     CommFn,
     DomainError,
     GroundSet,
-    Half,
     Interval,
     LatticeFn,
     Measure,
     ReflChain,
+    RInterval,
     SetFamily,
     asymmetric_fan_sugeno,
     chain_measure,
@@ -31,11 +31,8 @@ from ordagg import (
     median,
     neg_part,
     negate_fn,
-    negative_rinterval,
-    neutral_rinterval,
     ordinal_distance,
     pos_part,
-    positive_rinterval,
     quantile,
     quantile_functional,
     refl_interval,
@@ -675,7 +672,7 @@ class TestSymmetricFunctional:
         assert fan_sugeno(mu, pos_part(f), ell) == Interval(r.positive_half(), 1, 2)
         assert fan_sugeno(mu, neg_part(f), ell) == Interval(r.positive_half(), 1, 1)
         ss = symmetric_fan_sugeno(mu, f, ell)
-        assert ss == positive_rinterval(r, 1, 2)
+        assert ss == RInterval(r, 1, 2)
 
     def test_hand_example_symmetry(self):
         r, m, mu, f, ell = grid5_sym_setup()
@@ -748,7 +745,7 @@ class TestSymmetricFunctional:
         assert (sp.lo, sp.hi) == (1, 3)
         assert (sn.lo, sn.hi) == (2, 2)
         assert not topkis_leq(sp, sn) and not topkis_leq(sn, sp)
-        assert symmetric_fan_sugeno(mu, f, ell) == neutral_rinterval(r)
+        assert symmetric_fan_sugeno(mu, f, ell) == RInterval(r, 0, 0)
 
     def test_two_comm_variant(self):
         g3 = GroundSet(("a", "b", "c"))
@@ -762,7 +759,7 @@ class TestSymmetricFunctional:
         ell = CommFn(m, r.positive_half(), (0, 1, 2, 2))
         k = CommFn(m, r.positive_half(), (0, 0, 0, 3))
         f = LatticeFn(g3, r, (-3, 1, -2))
-        assert symmetric_fan_sugeno(mu, f, ell, k) == neutral_rinterval(r)
+        assert symmetric_fan_sugeno(mu, f, ell, k) == RInterval(r, 0, 0)
 
 
 class TestAsymmetricFunctional:
@@ -796,11 +793,7 @@ class TestAsymmetricFunctional:
 
             raw = inner_product(lplus.as_corr(), q)
             lo, hi = raw.lo - n, raw.hi - n
-            if hi <= 0:
-                expect = negative_rinterval(r, lo, hi)
-            else:
-                expect = positive_rinterval(r, max(lo, 0), hi)
-            assert asym == expect
+            assert asym == RInterval(r, lo if hi <= 0 else max(lo, 0), hi)
 
     def test_constant_positive_function(self):
         r = ReflChain("r", 3)
@@ -814,7 +807,7 @@ class TestAsymmetricFunctional:
         lminus = CommFn(m, plain, (3,) * 4)
         lplus = CommFn(m, plain, (3, 4, 5, 6))
         asym = asymmetric_fan_sugeno(mu, f, lminus, lplus)
-        assert asym.half is Half.POSITIVE
+        assert asym.lo >= 0
         assert asym.hi == c
 
     def test_monotone(self):
@@ -846,7 +839,7 @@ class TestAsymmetricFunctional:
         f = LatticeFn(g2, r, (1, 1))
         lminus = CommFn(m, plain, (0, 0, 1))
         lplus = CommFn(m, plain, (1, 1, 2))
-        assert asymmetric_fan_sugeno(mu, f, lminus, lplus, "plain") == neutral_rinterval(r)
+        assert asymmetric_fan_sugeno(mu, f, lminus, lplus, "plain") == RInterval(r, 0, 0)
 
     def test_rejects_wrong_halves(self):
         r = ReflChain("r", 2)

@@ -38,10 +38,8 @@ from ordagg import (
     inner_extension,
     level_set,
     median,
-    negative_rinterval,
     outer_extension,
     parse,
-    positive_rinterval,
     quantile_functional,
     sign_measure,
     sugeno_integral,
@@ -413,14 +411,6 @@ class TestElementRanks:
             (
                 lambda: RInterval(R2, 1, 3),
                 "invalid signed endpoints [1,3] for reflection chain 'r'",
-            ),
-            (
-                lambda: positive_rinterval(R2, -2, -1),
-                "positive-half interval with a negative endpoint",
-            ),
-            (
-                lambda: negative_rinterval(R2, 1, 2),
-                "negative-half interval with a positive endpoint",
             ),
         ],
     )

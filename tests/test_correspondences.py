@@ -19,7 +19,6 @@ from ordagg import (
     is_sharply_monotone,
     saturate,
     sharp_saturate,
-    singleton,
     sqcap,
     sqcup,
     sqcup_family,
@@ -56,10 +55,9 @@ class TestCalls:
             ):
                 c(x)
 
-    def test_total_fn_call_and_elem(self):
+    def test_total_fn_call(self):
         g = TotalFn(C4, C3, (2, 2, 1, 0))
         assert [g(x) for x in range(4)] == [2, 2, 1, 0]
-        assert g.elem(2) == C3.elem(1)
 
 
 class TestMonotonicity:
@@ -200,7 +198,8 @@ class TestProducts:
             assert inner_product(joined, psi) == sqcup(
                 inner_product(phi1, psi), inner_product(phi2, psi)
             )
-            a = singleton(dst.elem(rng.randrange(dst.size)))
+            y = rng.randrange(dst.size)
+            a = Interval(dst, y, y)
             capped = Corr(src, dst, {x: sqcap(a, iv) for x, iv in phi1.table.items()})
             assert inner_product(capped, psi) == sqcap(a, inner_product(phi1, psi))
 

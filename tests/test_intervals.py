@@ -9,7 +9,6 @@ import pytest
 from ordagg import (
     Chain,
     DomainError,
-    Half,
     Interval,
     ReflChain,
     Rel,
@@ -18,13 +17,9 @@ from ordagg import (
     absolute,
     format_interval,
     format_rinterval,
-    negative_rinterval,
-    neutral_rinterval,
-    positive_rinterval,
     refl,
     refl_interval,
     rinterval_leq,
-    singleton,
     sqcap,
     sqcap_family,
     sqcup,
@@ -69,7 +64,7 @@ class TestConstruction:
 
     def test_elements(self):
         assert list(iv(1, 3).elements()) == [1, 2, 3]
-        assert iv(2, 2).is_singleton()
+        assert list(iv(2, 2).elements()) == [2]
 
     def test_format(self):
         c = Chain("g", 11, tuple(f"{i/10:.1f}" for i in range(11)))
@@ -100,10 +95,10 @@ class TestJoinMeet:
     def test_examples(self):
         assert sqcup(iv(1, 3), iv(2, 2)) == iv(2, 3)
         assert sqcap(iv(1, 3), iv(2, 2)) == iv(1, 2)
-        bot = singleton(C5.elem(0))
+        bot = iv(0, 0)
         for i in all_intervals(C5):
             assert sqcup(i, bot) == i
-            assert sqcap(i, singleton(C5.elem(4))) == i
+            assert sqcap(i, iv(4, 4)) == i
 
     def test_operands_over_different_chains(self):
         other = Interval(Chain("d", 5), 0, 1)
@@ -116,7 +111,7 @@ class TestJoinMeet:
     def test_family_examples(self):
         assert sqcup_family([iv(0, 0), iv(1, 2), iv(0, 3)]) == iv(1, 3)
         assert sqcap_family([iv(1, 2)]) == iv(1, 2)
-        assert sqcup_family([singleton(C5.elem(r)) for r in range(5)]) == iv(4, 4)
+        assert sqcup_family([iv(r, r) for r in range(5)]) == iv(4, 4)
         with pytest.raises(DomainError):
             sqcup_family([])
 
@@ -149,16 +144,16 @@ class TestJoinMeet:
 
     def test_bottom_and_top(self):
         ivs = all_intervals(C5)
-        bot, t = singleton(C5.elem(0)), singleton(C5.elem(4))
+        bot, t = iv(0, 0), iv(4, 4)
         for i in ivs:
             assert topkis_leq(bot, i)
             assert topkis_leq(i, t)
 
     def test_singleton_embedding_is_homomorphism(self):
         for a, b in itertools.product(range(5), repeat=2):
-            sa, sb = singleton(C5.elem(a)), singleton(C5.elem(b))
-            assert sqcup(sa, sb) == singleton(C5.elem(max(a, b)))
-            assert sqcap(sa, sb) == singleton(C5.elem(min(a, b)))
+            sa, sb = iv(a, a), iv(b, b)
+            assert sqcup(sa, sb) == iv(max(a, b), max(a, b))
+            assert sqcap(sa, sb) == iv(min(a, b), min(a, b))
             assert topkis_leq(sa, sb) == (a <= b)
 
 
@@ -198,75 +193,73 @@ class TestRInterval:
     def test_normalization_and_validation(self):
         # an endpoint pair: the half is read off the signs
         assert [f.name for f in fields(RInterval)] == ["chain", "lo", "hi"]
-        assert positive_rinterval(self.RC, 0, 0).half is Half.NEUTRAL
-        assert negative_rinterval(self.RC, 0, 0) == neutral_rinterval(self.RC)
         with pytest.raises(DomainError):
-            positive_rinterval(self.RC, -1, 2)
+            RInterval(self.RC, -1, 2)
         with pytest.raises(DomainError):
-            negative_rinterval(self.RC, -2, 1)
+            RInterval(self.RC, -2, 1)
         with pytest.raises(DomainError):
-            positive_rinterval(self.RC, 2, 4)
+            RInterval(self.RC, 2, 4)
 
     def test_svee_over_different_reflection_chains(self):
-        other = positive_rinterval(ReflChain("s", 3), 0, 1)
+        other = RInterval(ReflChain("s", 3), 0, 1)
         with pytest.raises(
             DomainError,
             match="^intervals over different reflection chains: 'r' vs 's'$",
         ):
-            svee_intervals(positive_rinterval(self.RC, 0, 1), other)
+            svee_intervals(RInterval(self.RC, 0, 1), other)
 
     def test_refl_abs(self):
-        p = positive_rinterval(self.RC, 1, 3)
+        p = RInterval(self.RC, 1, 3)
         n = refl_interval(p)
-        assert n == negative_rinterval(self.RC, -3, -1)
+        assert n == RInterval(self.RC, -3, -1)
         assert abs_interval(n) == p
-        assert refl_interval(neutral_rinterval(self.RC)) == neutral_rinterval(self.RC)
+        assert refl_interval(RInterval(self.RC, 0, 0)) == RInterval(self.RC, 0, 0)
         assert refl_interval(refl_interval(n)) == n
 
     def test_format(self):
         rc = ReflChain("g", 4, ("0", "0.25", "0.5", "0.75", "1"))
-        assert format_rinterval(positive_rinterval(rc, 1, 2)) == "[0.25,0.5]"
-        assert format_rinterval(negative_rinterval(rc, -3, -1)) == "-[0.25,0.75]"
-        assert format_rinterval(neutral_rinterval(rc)) == "[0,0]"
+        assert format_rinterval(RInterval(rc, 1, 2)) == "[0.25,0.5]"
+        assert format_rinterval(RInterval(rc, -3, -1)) == "-[0.25,0.75]"
+        assert format_rinterval(RInterval(rc, 0, 0)) == "[0,0]"
 
     def all_rintervals(self, rc):
-        out = [neutral_rinterval(rc)]
+        out = [RInterval(rc, 0, 0)]
         n = rc.half_size
         for lo in range(n + 1):
             for hi in range(lo, n + 1):
                 if hi > 0:
-                    out.append(positive_rinterval(rc, lo, hi))
-                    out.append(negative_rinterval(rc, -hi, -lo))
+                    out.append(RInterval(rc, lo, hi))
+                    out.append(RInterval(rc, -hi, -lo))
         return out
 
     def test_svee_examples(self):
         rc = self.RC
         assert svee_intervals(
-            positive_rinterval(rc, 1, 2), positive_rinterval(rc, 2, 3)
-        ) == positive_rinterval(rc, 2, 3)
+            RInterval(rc, 1, 2), RInterval(rc, 2, 3)
+        ) == RInterval(rc, 2, 3)
         # strictly absolutely larger operand wins
         assert svee_intervals(
-            positive_rinterval(rc, 1, 2), negative_rinterval(rc, -1, -1)
-        ) == positive_rinterval(rc, 1, 2)
+            RInterval(rc, 1, 2), RInterval(rc, -1, -1)
+        ) == RInterval(rc, 1, 2)
         # incomparable absolute values collapse to the reference point
         assert svee_intervals(
-            positive_rinterval(rc, 0, 2), negative_rinterval(rc, -1, -1)
-        ) == neutral_rinterval(rc)
+            RInterval(rc, 0, 2), RInterval(rc, -1, -1)
+        ) == RInterval(rc, 0, 0)
         # equal absolute values cancel
         assert svee_intervals(
-            positive_rinterval(rc, 1, 2), negative_rinterval(rc, -2, -1)
-        ) == neutral_rinterval(rc)
+            RInterval(rc, 1, 2), RInterval(rc, -2, -1)
+        ) == RInterval(rc, 0, 0)
 
     def test_svee_negative_half_is_reflected_join(self):
         rc = self.RC
-        a = negative_rinterval(rc, -3, -1)
-        b = negative_rinterval(rc, -2, -2)
-        assert svee_intervals(a, b) == negative_rinterval(rc, -3, -2)
+        a = RInterval(rc, -3, -1)
+        b = RInterval(rc, -2, -2)
+        assert svee_intervals(a, b) == RInterval(rc, -3, -2)
 
     def test_svee_commutative_with_neutral(self):
         rc = ReflChain("r2", 2)
         rivs = self.all_rintervals(rc)
-        e = neutral_rinterval(rc)
+        e = RInterval(rc, 0, 0)
         for x, y in itertools.product(rivs, repeat=2):
             assert svee_intervals(x, y) == svee_intervals(y, x)
         for x in rivs:
@@ -282,13 +275,13 @@ class TestRInterval:
     def test_order(self):
         rc = self.RC
         assert rinterval_leq(
-            negative_rinterval(rc, -1, -1), positive_rinterval(rc, 1, 2)
+            RInterval(rc, -1, -1), RInterval(rc, 1, 2)
         )
         assert rinterval_leq(
-            negative_rinterval(rc, -3, -2), negative_rinterval(rc, -2, -1)
+            RInterval(rc, -3, -2), RInterval(rc, -2, -1)
         )
         assert not rinterval_leq(
-            positive_rinterval(rc, 1, 1), negative_rinterval(rc, -1, -1)
+            RInterval(rc, 1, 1), RInterval(rc, -1, -1)
         )
 
     def test_every_signed_interval_against_its_elements(self):
@@ -308,9 +301,6 @@ class TestRInterval:
             assert elems(refl_interval(x)) == {refl(rc.elem(a)).srank for a in e}
             assert elems(abs_interval(x)) == {absolute(rc.elem(a)).srank for a in e}
             negative = min(e) < 0
-            assert x.half is (
-                Half.NEGATIVE if negative else Half.NEUTRAL if e == {0} else Half.POSITIVE
-            )
             mags = sorted(abs(a) for a in e)
             want = f"[{half.label(mags[0])},{half.label(mags[-1])}]"
             assert format_rinterval(x) == ("-" if negative else "") + want

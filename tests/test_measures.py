@@ -65,10 +65,9 @@ class TestMeasureConstruction:
             Measure(SetFamily.full(G2), C4, {0: 0, 1: 3, 2: 1, 3: 2})
         Measure(SetFamily(G2, frozenset({0, 1, 3})), C4, {0: 0, 1: 2, 3: 3})
 
-    def test_elem_repr_and_equality(self):
+    def test_repr_and_equality(self):
         m = Measure(SetFamily.full(G2), C3, {0: 0, 1: 1, 2: 1, 3: 2})
-        assert m.elem(1) == C3.elem(1)
-        assert m.elem(3) == C3.elem(2)
+        assert (m(1), m(3)) == (1, 2)
         assert repr(m) == (
             "Measure(SetFamily(ground=GroundSet(elements=('a', 'b')), "
             "members=frozenset({0, 1, 2, 3})), Chain(id='c3', size=3, labels=None), "

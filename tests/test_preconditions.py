@@ -171,7 +171,6 @@ class TestCorrespondences:
         (TotalFn(M3, L3, (2, 1, 0)), 3, "point 3 outside chain 'm'"),
         (TotalFn(M3, L3, (2, 1, 0)), True, "point True outside chain 'm'"),
         (TotalFn(M3, L3, (2, 1, 0)), 1.0, "point 1.0 outside chain 'm'"),
-        (TotalFn(M3, L3, (2, 1, 0)).elem, -1, "point -1 outside chain 'm'"),
         (F, -1, "element index -1 outside the ground set"),
         (F, 2, "element index 2 outside the ground set"),
         (F, True, "element index True outside the ground set"),
@@ -181,6 +180,15 @@ class TestCorrespondences:
          "point True not in the domain of the correspondence"),
         (CommFn.identity(M3).as_corr(), -1,
          "point -1 not in the domain of the correspondence"),
+        (Chain("c", 3, ("lo", "mid", "hi")).label, -1, "no rank -1 on chain 'c' of size 3"),
+        (Chain("c", 3, ("lo", "mid", "hi")).label, 3, "no rank 3 on chain 'c' of size 3"),
+        (M3.label, 7, "no rank 7 on chain 'm' of size 3"),
+        (M3.label, True, "no rank True on chain 'm' of size 3"),
+        (M3.label, 1.0, "no rank 1.0 on chain 'm' of size 3"),
+        (ReflChain("r", 2).label, 5, "no signed rank 5 on reflection chain 'r' of half size 2"),
+        (ReflChain("r", 2, ("0", "a", "b")).label, -3,
+         "no signed rank -3 on reflection chain 'r' of half size 2"),
+        (R1.label, False, "no signed rank False on reflection chain 'r' of half size 1"),
     ])
     def test_calls_outside_the_domain(self, call, arg, message):
         """A negative, too large or non-int point never indexes the table."""
