@@ -18,6 +18,8 @@ from .errors import ChainMismatchError, DomainError
 # themselves on unlabelled chains), so it does not grow with chain size.
 # Each aggregation stage is one O(L) pass over an L-point chain; reading
 # the n+1 level sets of a function adds O(n**2) for n ground elements.
+# The measure passes pack ranks into 16-bit fields whose top bit is a
+# guard bit, so every rank must stay below 2**15.
 MAX_CHAIN_SIZE = 10_000
 
 

@@ -8,11 +8,11 @@ the whole set to the top of their scale.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import gt
 from types import MappingProxyType
 from weakref import WeakValueDictionary
 
@@ -116,9 +116,12 @@ class Measure:
     monotonicity: over the full powerset one bit layer at a time; over a
     partial family of k members by comparing each member with the largest
     value below it (a subset-max sweep of the powerset) when k**2 exceeds
-    n * 2**n, else by checking all comparable member pairs.  A failure is
-    reported at the first violating pair of the literal scan, whichever
-    check found it.
+    n * 2**n, else by checking all comparable member pairs.  The layer
+    checks and the sweep run on the table packed into one integer, 16
+    bits per subset: each layer is a few integer operations on the whole
+    table, which compare ranks through guard bits and never compute with
+    them.  A failure is reported at the first violating pair of the
+    literal scan, whichever check found it.
 
     The constructions below (extensions, chain and unanimity measures,
     the sign collapse) are monotone by construction and carry a closed
@@ -138,10 +141,9 @@ class Measure:
         ground = family.ground
         n = ground.size
         if family.is_full():
-            by_mask = list(map(table.__getitem__, ground.subsets()))
-            clean = not any(any(map(gt, by_mask[lo], by_mask[hi])) for lo, hi in _bit_layers(n))
+            clean = _is_monotone(map(table.__getitem__, ground.subsets()), n)
         elif len(members) ** 2 > n << n:
-            by_mask = _spread(table, ground, -1)
+            by_mask = _spread(table, ground, 0)
             _upper_sweep(by_mask, n)
             clean = all(by_mask[m] == v for m, v in table.items())
         else:
@@ -212,37 +214,70 @@ class Measure:
         return self._at(mask)
 
 
-def _bit_layers(n: int):
-    """Slice pairs (without, with) over a table indexed by subset mask.
+def _pack(table, n: int) -> int:
+    """A table over the subsets of n elements, indexed by mask, as one
+    integer: entry k in the 16-bit field at bit 16k.  Entries are ranks
+    below 2**15, so the top bit of each field is free for a guard bit."""
+    return int.from_bytes(struct.pack(f"<{1 << n}H", *table), "little")
 
-    For each bit in turn, the two slices of a pair list sets lacking the
-    bit and the same sets with it, in matching order; together the pairs
-    of one bit cover the table once.  Each bit takes the slicing with
-    fewer pieces (per offset inside a block, or per block), so the
-    element-wise work on them runs in C.
-    """
-    size = 1 << n
-    for i in range(n):
-        bit = 1 << i
-        span = 2 * bit
-        if bit <= size // span:
-            for j in range(bit):
-                yield slice(j, size, span), slice(bit + j, size, span)
-        else:
-            for base in range(0, size, span):
-                yield slice(base, base + bit), slice(base + bit, base + span)
+
+def _unpack(word: int, n: int) -> tuple[int, ...]:
+    return struct.unpack(f"<{1 << n}H", word.to_bytes(2 << n, "little"))
+
+
+def _guards(size: int) -> int:
+    """The guard bit of each of `size` fields.  For packed tables x and y,
+    each field of `x | guards` is at least 2**15 and each field of y is
+    below it, so `(x | guards) - y` borrows across no field, and keeps a
+    field's guard bit exactly where x's entry is at least y's."""
+    return int.from_bytes(b"\0\x80" * size, "little")
+
+
+def _layers(n: int):
+    """One pair (shift, lacking) per bit of the subset lattice over n
+    elements, top bit first: `word >> shift` brings each set's partner
+    with the bit onto the set, and `lacking` holds the guard bits of the
+    sets without it."""
+    lacking = _guards(1 << (n - 1))  # the lower half of the table
+    for i in reversed(range(n)):
+        shift = 16 << i
+        yield shift, lacking
+        if i:  # each run of sets without bit i splits into runs without bit i - 1
+            lacking ^= lacking << (shift >> 1)
+
+
+def _is_monotone(table, n: int) -> bool:
+    """Whether no entry of a table over all subsets exceeds the entry of a
+    superset one element larger."""
+    word, guards = _pack(table, n), _guards(1 << n)
+    return all(
+        (((word >> shift) | guards) - word) & lacking == lacking
+        for shift, lacking in _layers(n)
+    )
 
 
 def _upper_sweep(table: list[int], n: int) -> None:
     """Replace each entry by the max over the entries of its subsets."""
-    for lo, hi in _bit_layers(n):
-        table[hi] = [a if a > b else b for a, b in zip(table[hi], table[lo])]
+    word, guards = _pack(table, n), _guards(1 << n)
+    for shift, lacking in _layers(n):
+        up = word >> shift
+        at_least = ((word | guards) - up) & lacking
+        # where a set's entry is at least its partner's, copy it up (each
+        # kept guard bit, less its value shifted to the field's bit 0, masks
+        # the field's low 15 bits)
+        word ^= ((word ^ up) & (at_least - (at_least >> 15))) << shift
+    table[:] = _unpack(word, n)
 
 
 def _lower_sweep(table: list[int], n: int) -> None:
     """Replace each entry by the min over the entries of its supersets."""
-    for lo, hi in _bit_layers(n):
-        table[lo] = [a if a < b else b for a, b in zip(table[lo], table[hi])]
+    word, guards = _pack(table, n), _guards(1 << n)
+    for shift, lacking in _layers(n):
+        up = word >> shift
+        at_least = ((word | guards) - up) & lacking
+        # where a set's entry is at least its partner's, take the partner's
+        word ^= (word ^ up) & (at_least - (at_least >> 15))
+    table[:] = _unpack(word, n)
 
 
 def _spread(values: dict[int, int], ground: GroundSet, fill: int) -> list[int]:
@@ -291,16 +326,23 @@ def zeta(b: int, a: int, scale: Chain) -> ChainElem:
 
 
 def _extension(m: Measure, at, fill: int, sweep) -> Measure:
-    """The full-powerset measure evaluated by `at`; its table is m's table
-    spread over the powerset with `fill` elsewhere, then swept."""
+    """The full-powerset measure evaluated by `at`.  Its `_by_mask()` is
+    its table as a list indexed by mask: m's table spread over the
+    powerset with `fill` elsewhere, then swept; `values` holds the same
+    table.  The fill is the bottom for the join sweep and the top for the
+    meet sweep, so it never shows."""
     ground = m.ground
 
-    def build() -> dict[int, int]:
+    def by_mask() -> list[int]:
         table = _spread(m.values, ground, fill)
         sweep(table, ground.size)
-        return dict(enumerate(table))
+        return table
 
-    return Measure._closed(SetFamily.full(ground), m.scale, at, build)
+    ext = Measure._closed(
+        SetFamily.full(ground), m.scale, at, lambda: dict(enumerate(by_mask()))
+    )
+    vars(ext)["_by_mask"] = by_mask
+    return ext
 
 
 def inner_extension(m: Measure) -> Measure:
@@ -311,7 +353,7 @@ def inner_extension(m: Measure) -> Measure:
     over the subset lattice (the empty set anchors every chain of subsets).
     """
     items = m.values.items()
-    return _extension(m, lambda a: max(v for b, v in items if b & a == b), -1, _upper_sweep)
+    return _extension(m, lambda a: max(v for b, v in items if b & a == b), 0, _upper_sweep)
 
 
 def outer_extension(m: Measure) -> Measure:
@@ -322,7 +364,7 @@ def outer_extension(m: Measure) -> Measure:
     """
     items = m.values.items()
     return _extension(
-        m, lambda a: min(v for b, v in items if b & a == a), m.scale.size, _lower_sweep
+        m, lambda a: min(v for b, v in items if b & a == a), m.scale.size - 1, _lower_sweep
     )
 
 
@@ -452,7 +494,8 @@ def verify_chain(m: Measure, sets, kind: str) -> bool:
     rebuilt = chain_measure(
         m.ground, m.scale, ordered, [m.values[s] for s in ordered], kind
     )
-    return rebuilt.values == m.values
+    # read as a list, the rebuilt table needs no second dict over the powerset
+    return rebuilt._by_mask() == list(map(m.values.__getitem__, m.ground.subsets()))
 
 
 def sign_measure(m: Measure) -> Measure:

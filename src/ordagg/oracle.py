@@ -250,6 +250,13 @@ def oracle_extension(ground: GroundSet, given, kind: str) -> dict[int, int]:
     return table
 
 
+def oracle_monotone(ground: GroundSet, values: dict[int, int]) -> bool:
+    """Whether the value at each listed set is at most the value at each
+    listed superset, over every pair of listed sets."""
+    sets = [(_elements(ground, a), v) for a, v in values.items()]
+    return all(va <= vb for a, va in sets for b, vb in sets if a <= b)
+
+
 def oracle_unanimity(ground: GroundSet, coalition: int, scale: Chain, co: bool) -> dict[int, int]:
     """Top on the sets that hold every member of the coalition (`co`: some
     member), bottom elsewhere."""

@@ -5,10 +5,15 @@ Each pass (the monotonicity checks, both extensions, the minitivity and
 maxitivity classifiers and the defining chain) is run on seeded random
 tables for ground sizes 1..8, each table once as drawn and once with one
 injected fault, and compared with a brute-force enumeration of what the
-pass is defined to compute.
+pass is defined to compute.  The packed passes under the monotonicity
+check and the extensions are also run on every table over at most 3
+elements into a 3-point chain, on tables up to 16 elements with one
+violation planted per bit, and at scale sizes 2, 101 and 10,000.
 """
 
+import itertools
 import random
+import re
 
 import pytest
 
@@ -24,7 +29,8 @@ from ordagg import (
     minitive_chain,
     outer_extension,
 )
-from ordagg.oracle import oracle_lower_chain, oracle_minitive
+from ordagg import measures
+from ordagg.oracle import oracle_extension, oracle_lower_chain, oracle_minitive, oracle_monotone
 
 from helpers import monotone_envelope, rand_chain_measure
 
@@ -247,3 +253,118 @@ def test_maxitive_classification(n):
             assert is_maxitive(m) == maxi
             perturb_one(rng, ground, values)
     assert True in seen and (n < 2 or False in seen)
+
+
+def exhaustive_families(n: int):
+    """Every family over n elements holding the empty and the whole set."""
+    full = (1 << n) - 1
+    inner = range(1, full)
+    for pick in range(1 << len(inner)):
+        yield [0, *(a for k, a in enumerate(inner) if pick >> k & 1), full]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_table_into_a_three_point_chain_matches_the_pair_oracle(n):
+    """Accept or reject exactly as the scan over all pairs a <= b does,
+    and report the first violating pair of the literal scan."""
+    scale = Chain("t", 3)
+    ground = ground_of(n)
+    seen = set()
+    for members in exhaustive_families(n):
+        family = SetFamily(ground, frozenset(members))
+        for ranks in itertools.product(range(3), repeat=len(members)):
+            values = dict(zip(members, ranks))
+            monotone = oracle_monotone(ground, values)
+            seen.add((family.is_full(), monotone))
+            if family.is_full():
+                by_mask = [values[a] for a in ground.subsets()]
+                assert measures._is_monotone(by_mask, n) == monotone
+            try:
+                Measure(family, scale, values)
+            except DomainError as err:
+                if monotone:
+                    assert "not monotone" not in str(err)
+                else:
+                    a, b = map(ground.format_mask, literal_first_violation(ground, values))
+                    assert str(err) == f"measure not monotone: {a} > {b}"
+            else:
+                assert monotone
+    partial = {(False, True), (False, False)} if n > 1 else set()
+    assert seen == {(True, True), (True, False)} | partial
+
+
+def rand_scaled_monotone(rng: random.Random, n: int, top: int) -> list[int]:
+    """A monotone table over all subsets, indexed by mask, with values in
+    [0, top]: a random weighted count scaled onto the ranks."""
+    weights = [rng.randrange(1, 50) for _ in range(n)]
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return [s * top // sums[-1] for s in sums]
+
+
+def planted(rng: random.Random, low: list[int], top: int, a: int, bit: int) -> list[int]:
+    """A table whose only violating one-element step is a -> a | bit: the
+    monotone table `low`, whose values are below the top, raised on the
+    supersets of a other than a | bit to a level above the value at a | bit."""
+    b = a | bit
+    high = rng.randint(low[b] + 1, top)
+    return [max(v, high) if x & a == a and x != b else v for x, v in enumerate(low)]
+
+
+def one_step_violations(table: list[int], n: int) -> list[tuple[int, int]]:
+    return [
+        (x, x | 1 << i)
+        for x in range(len(table)) for i in range(n)
+        if not x >> i & 1 and table[x] > table[x | 1 << i]
+    ]
+
+
+@pytest.mark.parametrize("size", [2, 101, 10_000])
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 16])
+def test_one_violation_planted_in_each_bit_layer(n, size):
+    """For each bit, a violation at the empty set, at the whole set and in
+    between is found and named, and the table without them passes."""
+    rng = random.Random(1000 * n + size)
+    ground = ground_of(n)
+    top = size - 1
+    full = ground.full_mask
+    clean = rand_scaled_monotone(rng, n, top)
+    assert measures._is_monotone(clean, n)
+    Measure(SetFamily.full(ground), Chain("s", size), dict(enumerate(clean)))
+    low = rand_scaled_monotone(rng, n, top - 1)
+    for i in range(n):
+        bit = 1 << i
+        for a in (0, full ^ bit, rng.randrange(full + 1) & ~bit):
+            table = planted(rng, low, top, a, bit)
+            if n <= 9:
+                assert one_step_violations(table, n) == [(a, a | bit)]
+            assert not measures._is_monotone(table, n)
+            if n <= 9 or (i, a) == (n - 1, 0):  # the literal scan is slow at the limit
+                shown = " > ".join(map(ground.format_mask, (a, a | bit)))
+                with pytest.raises(DomainError, match=re.escape(f"not monotone: {shown}")):
+                    Measure(SetFamily.full(ground), Chain("s", size), dict(enumerate(table)))
+
+
+def rand_family_values(rng: random.Random, n: int, top: int, density: float) -> dict[int, int]:
+    """A monotone table on a random family: a restriction of a random
+    monotone table with the endpoints at bottom and top."""
+    table = rand_scaled_monotone(rng, n, top)
+    full = (1 << n) - 1
+    keep = {0, full} | {a for a in range(1, full) if rng.random() < density}
+    return {a: table[a] for a in sorted(keep)}
+
+
+@pytest.mark.parametrize("size", [2, 101, 10_000])
+@pytest.mark.parametrize("n", [1, 4, 8, 13])
+def test_extensions_match_the_oracle_and_their_closed_forms(n, size):
+    rng = random.Random(2000 * n + size)
+    ground = ground_of(n)
+    scale = Chain("s", size)
+    for density in (0.02, 0.3, 0.9) if n <= 8 else (0.005,):
+        values = rand_family_values(rng, n, size - 1, density)
+        m = Measure(SetFamily(ground, frozenset(values)), scale, values)
+        for ext, kind in ((inner_extension(m), "lower"), (outer_extension(m), "upper")):
+            table = ext.values
+            assert table == oracle_extension(ground, values.items(), kind)
+            assert all(ext(a) == table[a] for a in ground.subsets())
