@@ -15,7 +15,8 @@ from functools import cached_property
 from .errors import ChainMismatchError, DomainError
 
 # Spec loading resolves labels through a per-chain index (or the digits
-# themselves on unlabelled chains), so it does not grow with chain size.
+# themselves on unlabelled reflection chains), so it does not grow with
+# chain size.
 # Each aggregation stage is one O(L) pass over an L-point chain; reading
 # the n+1 level sets of a function adds O(n**2) for n ground elements.
 # The measure passes pack ranks into 16-bit fields whose top bit is a
@@ -90,12 +91,13 @@ class Chain:
 
     @cached_property
     def _rank_index(self) -> dict[str, int]:
-        return dict(zip(self.labels, range(self.size)))
+        """Each display label's rank; an unlabelled chain displays ranks in
+        canonical decimal."""
+        labels = map(str, range(self.size)) if self.labels is None else self.labels
+        return dict(zip(labels, range(self.size)))
 
     def rank_of_label(self, text: str) -> int | None:
         """Resolve a display label back to its rank, or None."""
-        if self.labels is None:
-            return _decimal_rank(text, self.size)
         return self._rank_index.get(text)
 
     def elem(self, rank: int) -> "ChainElem":

@@ -12,7 +12,6 @@ import struct
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import repeat
 from types import MappingProxyType
 from weakref import WeakValueDictionary
 
@@ -90,10 +89,11 @@ class SetFamily:
     members: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        full = self.ground.full_mask
-        for bad in bad_ranks(self.members, 0, full):
-            raise DomainError(f"subset mask {bad} outside the ground set")
+        members, full = self.members, self.ground.full_mask
+        object.__setattr__(self, "members", frozenset(members))
+        if members != range(full + 1):  # the powerset's own range needs no check
+            for bad in bad_ranks(self.members, 0, full):
+                raise DomainError(f"subset mask {bad} outside the ground set")
         if 0 not in self.members or full not in self.members:
             raise DomainError("set family must contain the empty set and the whole set")
 
@@ -102,11 +102,15 @@ class SetFamily:
         """The whole powerset: one family per ground set while any holds it."""
         family = _POWERSETS.get(ground)
         if family is None:
-            family = _POWERSETS[ground] = cls(ground, frozenset(ground.subsets()))
+            family = _POWERSETS[ground] = cls(ground, ground.subsets())
         return family
 
     def is_full(self) -> bool:
         return len(self.members) == self.ground.full_mask + 1
+
+
+class _Unshared(dict):
+    """A table that its builder drops once `Measure` adopts it uncopied."""
 
 
 class Measure:
@@ -131,7 +135,7 @@ class Measure:
     """
 
     def __init__(self, family: SetFamily, scale: Chain, values: Mapping[int, int]):
-        table = dict(values)
+        table = values if type(values) is _Unshared else dict(values)
         members = family.members
         # a key 1.0 or True would pass the key comparison as the mask 1
         if table.keys() != members or not set(map(type, table)) <= {int}:
@@ -199,6 +203,10 @@ class Measure:
     @property
     def ground(self) -> GroundSet:
         return self.family.ground
+
+    def _by_mask(self) -> list[int]:
+        """The table over the full powerset as a list indexed by mask."""
+        return list(map(self.values.__getitem__, self.ground.subsets()))
 
     def is_total(self) -> bool:
         return self.family.is_full()
@@ -311,26 +319,15 @@ def _first_violation(family: SetFamily, values: dict[int, int]) -> tuple[int, in
     return None
 
 
-def _fold_elements(weights: list[int], op, start: int) -> list[int]:
-    """The table over subset masks of `op` folded over the weights of each
-    set's elements, with `start` at the empty set."""
-    table = [start]
-    for w in weights:
-        table += list(map(op, table, repeat(w)))
-    return table
-
-
 def zeta(b: int, a: int, scale: Chain) -> ChainElem:
     """Containment indicator of the subset order: top iff a contains b."""
     return scale.elem(scale.size - 1 if a & b == b else 0)
 
 
 def _extension(m: Measure, at, fill: int, sweep) -> Measure:
-    """The full-powerset measure evaluated by `at`.  Its `_by_mask()` is
-    its table as a list indexed by mask: m's table spread over the
-    powerset with `fill` elsewhere, then swept; `values` holds the same
-    table.  The fill is the bottom for the join sweep and the top for the
-    meet sweep, so it never shows."""
+    """The full-powerset measure evaluated by `at`, whose table is m's
+    spread over the powerset with `fill` elsewhere, then swept: the bottom
+    for the join sweep and the top for the meet sweep, so it never shows."""
     ground = m.ground
 
     def by_mask() -> list[int]:
@@ -436,53 +433,53 @@ def _require_total(m: Measure, op: str) -> None:
         raise DomainError(f"{op} is defined for measures on the full powerset only")
 
 
+def _swept(m: Measure, table: list[int], points, fill: int, sweep) -> bool:
+    """Whether m's table, a list indexed by mask, is `sweep` of its values
+    at `points` with `fill` elsewhere."""
+    expect = _spread({a: table[a] for a in points}, m.ground, fill)
+    sweep(expect, m.ground.size)
+    return expect == table
+
+
 def is_minitive(m: Measure) -> bool:
     """Whether the measure turns intersections into meets.
 
     On a full powerset the pairwise condition is equivalent to the value
     at every set being the meet of the values at the co-singletons of the
-    missing elements; that form is checked here, the literal pairwise
-    condition lives in the oracle module.
+    missing elements; that form is checked here, as one packed meet sweep,
+    and the literal pairwise condition lives in the oracle module.
     """
     _require_total(m, "minitivity check")
-    ground = m.ground
-    full = ground.full_mask
-    coatoms = [m.values[full & ~(1 << i)] for i in range(ground.size)]
-    # meets over the elements of each set, read at the complement a = full - c
-    expect = _fold_elements(coatoms, min, m.scale.size)
-    return list(map(m.values.__getitem__, range(full))) == expect[:0:-1]
+    coatoms = [m.ground.full_mask ^ 1 << i for i in range(m.ground.size)]
+    return _swept(m, m._by_mask(), coatoms, m.scale.size - 1, _lower_sweep)
 
 
 def is_maxitive(m: Measure) -> bool:
-    """Whether the measure turns unions into joins (dual check on atoms)."""
+    """Whether the measure turns unions into joins: the dual check, one
+    packed join sweep of the values at the singletons."""
     _require_total(m, "maxitivity check")
-    ground = m.ground
-    atoms = [m.values[1 << i] for i in range(ground.size)]
-    expect = _fold_elements(atoms, max, -1)
-    return list(map(m.values.__getitem__, range(1, ground.full_mask + 1))) == expect[1:]
+    atoms = [1 << i for i in range(m.ground.size)]
+    return _swept(m, m._by_mask(), atoms, 0, _upper_sweep)
 
 
 def minitive_chain(m: Measure) -> list[int]:
     """Defining chain of a minitive measure.
 
-    For each scale rank, intersect all sets whose measure reaches it;
-    together with the endpoints these sets form an inclusion chain whose
-    lower chain measure reproduces the input.  The reconstruction is
-    verified before returning.
+    For each scale rank, the intersection of all sets whose measure
+    reaches it: for a minitive measure, the elements whose co-singleton
+    lies below the rank.  With the endpoints these sets form an inclusion
+    chain whose lower chain measure reproduces the input, which is
+    verified before returning.  The table is read once, for all three.
     """
-    if not is_minitive(m):
+    _require_total(m, "minitivity check")
+    full, table = m.ground.full_mask, m._by_mask()
+    coatoms = [full ^ 1 << i for i in range(m.ground.size)]
+    if not _swept(m, table, coatoms, m.scale.size - 1, _lower_sweep):
         raise DomainError("measure is not minitive")
-    ground = m.ground
-    meet_at = [ground.full_mask] * m.scale.size
-    for b, v in m.values.items():
-        meet_at[v] &= b
-    ks = {0, ground.full_mask}
-    k = ground.full_mask
-    for x in reversed(range(m.scale.size)):
-        k &= meet_at[x]
-        ks.add(k)
-    sets = sorted(ks, key=lambda mask: (mask.bit_count(), mask))
-    if not verify_chain(m, sets, "lower"):
+    ranks = [table[c] for c in coatoms]
+    ks = {0, full, *(sum(1 << i for i, r in enumerate(ranks) if r <= x) for x in ranks)}
+    sets = sorted(ks, key=int.bit_count)  # nested sets differ in size
+    if not _rebuilds(m, table, sets, "lower"):
         raise DomainError("defining chain failed to reproduce the measure")
     return sets
 
@@ -490,12 +487,14 @@ def minitive_chain(m: Measure) -> list[int]:
 def verify_chain(m: Measure, sets, kind: str) -> bool:
     """Whether rebuilding from the restriction to the chain reproduces m."""
     _require_total(m, "chain verification")
+    return _rebuilds(m, m._by_mask(), sets, kind)
+
+
+def _rebuilds(m: Measure, table: list[int], sets, kind: str) -> bool:
+    """`verify_chain` against m's table read as a list indexed by mask."""
     ordered = _validate_chain_sets(m.ground, list(sets))
-    rebuilt = chain_measure(
-        m.ground, m.scale, ordered, [m.values[s] for s in ordered], kind
-    )
-    # read as a list, the rebuilt table needs no second dict over the powerset
-    return rebuilt._by_mask() == list(map(m.values.__getitem__, m.ground.subsets()))
+    rebuilt = chain_measure(m.ground, m.scale, ordered, [table[s] for s in ordered], kind)
+    return rebuilt._by_mask() == table
 
 
 def sign_measure(m: Measure) -> Measure:

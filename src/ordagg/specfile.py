@@ -34,6 +34,7 @@ from .measures import (
     GroundSet,
     Measure,
     SetFamily,
+    _Unshared,
     chain_measure,
     co_unanimity,
     unanimity,
@@ -68,14 +69,13 @@ class _Block:
 
     def rows(self) -> Iterator[tuple[int, str]]:
         """The body's lines and their numbers, comments cut, stripped, blanks
-        skipped; read as they are consumed, so no row outlives its reader."""
-        lines = self.lines
-        for i in range(self.line, self.end):
-            text = lines[i]
+        skipped; read as they are consumed, so no row outlives its reader.
+        `_measure_rows` inlines this loop."""
+        for line_no, text in enumerate(self.lines[self.line : self.end], self.line + 1):
             if "#" in text:
                 text = text.split("#", 1)[0]
             if text := text.strip():
-                yield i + 1, text
+                yield line_no, text
 
 
 def _split_kv(args: list[str], line: int, required: tuple[str, ...]) -> dict[str, str]:
@@ -275,7 +275,7 @@ def _rows(
     return values
 
 
-def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, int]:
+def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> _Unshared:
     """A measure's rows as a subset -> rank table.
 
     A row spelled `{a,b} label` (one space, no blanks inside the braces,
@@ -285,21 +285,29 @@ def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, int]:
     first repeated subset is raised after the last row, so a row error wins.
     """
     bits = ground._bits
-    rank_of = scale._rank_index.get if scale.labels is not None else scale.rank_of_label
-    table: dict[int, int] = {}
+    # the first name keeps the brace; a bare "{" is no key, so `{,a}` misses
+    first = {"{" + name: bit for name, bit in bits.items()}
+    rank_index = scale._rank_index
+    table = _Unshared()
     repeat: SpecParseError | None = None
-    for line_no, text in b.rows():
+    # the loop of `b.rows()`, inlined: this is the loader's hottest loop
+    for line_no, text in enumerate(b.lines[b.line : b.end], b.line + 1):
+        if "#" in text:
+            text = text.split("#", 1)[0]
+        if not (text := text.strip()):
+            continue
         subset, _, value = text.partition("} ")
-        rank = rank_of(value)
-        mask = None
-        if rank is not None and subset[:1] == "{":
-            mask = 0
-            for name in subset[1:].split(",") if subset != "{" else ():
-                bit = bits.get(name)
-                if bit is None:
-                    mask = None
-                    break
-                mask |= bit
+        try:
+            rank = rank_index[value]
+            if subset == "{":
+                mask = 0
+            else:
+                names = iter(subset.split(","))
+                mask = first[next(names)]
+                for name in names:
+                    mask |= bits[name]
+        except KeyError:  # taken below, so that a row error chains no KeyError
+            mask = None
         if mask is None:
             mt = _SUBSET_LINE.match(text)
             if not mt or mt.group(2) is None:

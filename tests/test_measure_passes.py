@@ -23,6 +23,7 @@ from ordagg import (
     GroundSet,
     Measure,
     SetFamily,
+    chain_measure,
     inner_extension,
     is_maxitive,
     is_minitive,
@@ -253,6 +254,55 @@ def test_maxitive_classification(n):
             assert is_maxitive(m) == maxi
             perturb_one(rng, ground, values)
     assert True in seen and (n < 2 or False in seen)
+
+
+def rand_strict_chain(rng: random.Random, n: int, top: int) -> tuple[list[int], list[int]]:
+    """An inclusion chain from the empty to the whole set, with at least
+    two inner sets, and strictly increasing values from 0 to `top` on it."""
+    order = rng.sample(range(n), n)
+    sizes = sorted(rng.sample(range(1, n), rng.randint(2, 6)))
+    sets = [0, *(sum(1 << i for i in order[:k]) for k in sizes), (1 << n) - 1]
+    return sets, [0, *sorted(rng.sample(range(1, top), len(sizes))), top]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_chain_measures_at_the_limit(seed):
+    """At n = 16 a lower chain measure is minitive, as a closed form and
+    as a table, and gives back its chain; lowering its value at one inner
+    chain set keeps it monotone but breaks minitivity.  Dually, an upper
+    chain measure is maxitive until its value at one chain set of two or
+    more elements is raised.  A closed form is classified without
+    building its `values` dict."""
+    rng = random.Random(500 + seed)
+    n, scale = 16, Chain("s", 101)
+    ground, family = ground_of(n), SetFamily.full(ground_of(n))
+    sets, values = rand_strict_chain(rng, n, scale.size - 1)
+
+    closed = chain_measure(ground, scale, sets, values, "lower")
+    assert is_minitive(closed) and minitive_chain(closed) == sets
+    assert "values" not in vars(closed)
+    table = dict(chain_measure(ground, scale, sets, values, "lower").values)
+    assert is_minitive(Measure(family, scale, table))
+    assert minitive_chain(Measure(family, scale, table)) == sets
+    s = rng.choice([s for s in sets if 1 <= s.bit_count() <= n - 2])
+    table[s] -= 1
+    m = Measure(family, scale, table)  # still monotone
+    x, y = [1 << i for i in range(n) if not s >> i & 1][:2]
+    assert table[s] < min(table[s | x], table[s | y])  # a witness against minitivity
+    assert not is_minitive(m)
+    with pytest.raises(DomainError, match="not minitive"):
+        minitive_chain(m)
+
+    closed = chain_measure(ground, scale, sets, values, "upper")
+    assert is_maxitive(closed) and "values" not in vars(closed)
+    table = dict(closed.values)
+    assert is_maxitive(Measure(family, scale, table))
+    s = rng.choice([s for s in sets if 2 <= s.bit_count() <= n - 1])
+    table[s] += 1
+    m = Measure(family, scale, table)  # still monotone
+    x, y = [1 << i for i in range(n) if s >> i & 1][:2]
+    assert table[s] > max(table[s ^ x], table[s ^ y])  # a witness against maxitivity
+    assert not is_maxitive(m)
 
 
 def exhaustive_families(n: int):

@@ -268,6 +268,16 @@ ROW_CASES = {
                     (SpecParseError, 5, "expected `<subset> <value>`, got '{a}} mid'")),
     "no-open-brace": (ROW_HEAD, "  ab} mid\n",
                       (SpecParseError, 5, "expected `<subset> <value>`, got 'ab} mid'")),
+    "leading-comma": (ROW_HEAD, "  {,a} mid\n",
+                      (SpecValidationError, 5, "unknown ground element ''")),
+    "double-comma": (ROW_HEAD, "  {a,,b} mid\n",
+                     (SpecValidationError, 5, "unknown ground element ''")),
+    "names-without-open-brace": (ROW_HEAD, "  a,b} mid\n",
+                                 (SpecParseError, 5,
+                                  "expected `<subset> <value>`, got 'a,b} mid'")),
+    "doubled-open-brace": (ROW_HEAD, "  {{a} mid\n",
+                           (SpecValidationError, 5, "unknown ground element '{a'")),
+    "repeated-element-after-another": (ROW_HEAD, "  {a,b,a} mid\n", {0: 0, 3: 1, 7: 3}),
     "duplicate-subset": (ROW_HEAD, "  {a,b} hi\n  {b} mid\n  {b,a} hi\n  {b} mid\n",
                          (SpecParseError, 7, "duplicate subset {a,b}")),
     "comment-after-row": (ROW_HEAD, "  {a} mid # note\n  {b} mid#x\n",
