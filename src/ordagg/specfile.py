@@ -69,13 +69,14 @@ class _Block:
 
     def rows(self) -> Iterator[tuple[int, str]]:
         """The body's lines and their numbers, comments cut, stripped, blanks
-        skipped; read as they are consumed, so no row outlives its reader.
-        `_measure_rows` inlines this loop."""
-        for line_no, text in enumerate(self.lines[self.line : self.end], self.line + 1):
+        skipped; read as they are consumed, so no row outlives its reader."""
+        lines = self.lines
+        for i in range(self.line, self.end):
+            text = lines[i]
             if "#" in text:
                 text = text.split("#", 1)[0]
             if text := text.strip():
-                yield line_no, text
+                yield i + 1, text
 
 
 def _split_kv(args: list[str], line: int, required: tuple[str, ...]) -> dict[str, str]:
@@ -290,12 +291,7 @@ def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> _Unshared:
     rank_index = scale._rank_index
     table = _Unshared()
     repeat: SpecParseError | None = None
-    # the loop of `b.rows()`, inlined: this is the loader's hottest loop
-    for line_no, text in enumerate(b.lines[b.line : b.end], b.line + 1):
-        if "#" in text:
-            text = text.split("#", 1)[0]
-        if not (text := text.strip()):
-            continue
+    for line_no, text in b.rows():
         subset, _, value = text.partition("} ")
         try:
             rank = rank_index[value]
