@@ -14,23 +14,14 @@ from functools import cached_property
 
 from .errors import ChainMismatchError, DomainError
 
-# Spec loading resolves labels through a per-chain index (or the digits
-# themselves on unlabelled reflection chains), so it does not grow with
+# Spec loading resolves labels through a per-chain index (on a reflection
+# chain, the index of its nonnegative half), so it does not grow with
 # chain size.
 # Each aggregation stage is one O(L) pass over an L-point chain; reading
 # the n+1 level sets of a function adds O(n**2) for n ground elements.
 # The measure passes pack ranks into 16-bit fields whose top bit is a
 # guard bit, so every rank must stay below 2**15.
 MAX_CHAIN_SIZE = 10_000
-
-
-def _decimal_rank(text: str, size: int) -> int | None:
-    """The rank below `size` whose unlabelled display is `text`, or None."""
-    if text.isascii() and text.isdigit() and len(text) <= len(str(size)):
-        rank = int(text)
-        if rank < size and str(rank) == text:
-            return rank
-    return None
 
 
 def bad_ranks(values, lo: int, hi: int):
@@ -216,13 +207,14 @@ class ReflChain:
         return base if srank >= 0 else "-" + base
 
     def srank_of_label(self, text: str) -> int | None:
-        if self.labels is not None:
-            rank = self._carrier._rank_index.get(text)
-            return None if rank is None else rank - self.half_size
-        if text.startswith("-"):
-            rank = _decimal_rank(text[1:], self.half_size + 1)
+        # no label is "-" plus another nonzero label (`__post_init__`), so a
+        # text the half displays is never a reflection
+        index = self._half._rank_index
+        rank = index.get(text)
+        if rank is None and text.startswith("-"):
+            rank = index.get(text[1:])
             return -rank if rank else None
-        return _decimal_rank(text, self.half_size + 1)
+        return rank
 
     def elem(self, srank: int) -> "ReflElem":
         return ReflElem(self, srank)

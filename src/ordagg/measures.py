@@ -13,7 +13,6 @@ from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from types import MappingProxyType
-from weakref import WeakValueDictionary
 
 from .chains import Chain, ChainElem, bad_ranks
 from .errors import DomainError
@@ -74,82 +73,83 @@ class GroundSet:
         return range(self.full_mask + 1)
 
 
-# The powerset family of each ground set in use, shared by every measure on
-# it.  Held weakly: a family that the ground set kept would form a cycle
-# with it, and its 2**n masks would outlive the last measure until a full
-# garbage collection.
-_POWERSETS: WeakValueDictionary[GroundSet, SetFamily] = WeakValueDictionary()
-
-
 @dataclass(frozen=True)
 class SetFamily:
-    """A family of subsets containing the empty set and the whole set."""
+    """A family of subsets containing the empty set and the whole set.
+
+    `members` is a read-only set of masks with O(1) membership: the
+    `range` of every mask when the family is the whole powerset, however
+    its members were given, and a frozenset otherwise, so that equal
+    families compare and hash equal.
+    """
 
     ground: GroundSet
-    members: frozenset[int]
+    members: range | frozenset[int]
 
     def __post_init__(self):
         members, full = self.members, self.ground.full_mask
-        object.__setattr__(self, "members", frozenset(members))
-        if members != range(full + 1):  # the powerset's own range needs no check
-            for bad in bad_ranks(self.members, 0, full):
+        powerset = range(full + 1)
+        if members != powerset:  # the powerset's own range needs no check
+            members = frozenset(members)
+            for bad in bad_ranks(members, 0, full):
                 raise DomainError(f"subset mask {bad} outside the ground set")
-        if 0 not in self.members or full not in self.members:
+        # masks in range, as many as there are subsets: every subset
+        object.__setattr__(self, "members", powerset if len(members) > full else members)
+        if 0 not in members or full not in members:
             raise DomainError("set family must contain the empty set and the whole set")
 
     @classmethod
     def full(cls, ground: GroundSet) -> "SetFamily":
-        """The whole powerset: one family per ground set while any holds it."""
-        family = _POWERSETS.get(ground)
-        if family is None:
-            family = _POWERSETS[ground] = cls(ground, ground.subsets())
-        return family
+        """The whole powerset."""
+        return cls(ground, ground.subsets())
 
     def is_full(self) -> bool:
-        return len(self.members) == self.ground.full_mask + 1
-
-
-class _Unshared(dict):
-    """A table that its builder drops once `Measure` adopts it uncopied."""
+        return type(self.members) is range
 
 
 class Measure:
     """A monotone set function into a chain, with fixed endpoints.
 
-    Frozen.  `Measure(family, scale, values)` copies the table and verifies
-    monotonicity: over the full powerset one bit layer at a time; over a
-    partial family of k members by comparing each member with the largest
-    value below it (a subset-max sweep of the powerset) when k**2 exceeds
-    n * 2**n, else by checking all comparable member pairs.  The layer
-    checks and the sweep run on the table packed into one integer, 16
-    bits per subset: each layer is a few integer operations on the whole
-    table, which compare ranks through guard bits and never compute with
-    them.  A failure is reported at the first violating pair of the
-    literal scan, whichever check found it.
+    Frozen.  `Measure(family, scale, values)` keeps its own copy of the
+    table in the family's form: over the whole powerset a tuple indexed
+    by mask, over a partial family a dict.  It verifies monotonicity:
+    over the powerset one bit layer at a time; over a partial family of k
+    members by comparing each member with the largest value below it (a
+    subset-max sweep of the powerset) when k**2 exceeds n * 2**n, else by
+    checking all comparable member pairs.  The layer checks and the sweep
+    run on the table packed into one integer, 16 bits per subset: each
+    layer is a few integer operations on the whole table, which compare
+    ranks through guard bits and never compute with them.  A failure is
+    reported at the first violating pair of the literal scan, whichever
+    check found it.
 
     The constructions below (extensions, chain and unanimity measures,
     the sign collapse) are monotone by construction and carry a closed
-    form instead: calling the measure evaluates it, and `values` builds
-    the table on first read.  Equal family, scale and table make equal
-    measures, however they were built.
+    form instead: calling the measure evaluates it, and the table is
+    built on first read.  `values` reads the table as a mapping from mask
+    to rank, built on first read over the powerset.  Equal family, scale
+    and table make equal measures, however they were built.
     """
 
     def __init__(self, family: SetFamily, scale: Chain, values: Mapping[int, int]):
-        table = values if type(values) is _Unshared else dict(values)
-        members = family.members
+        members, ground = family.members, family.ground
+        full = family.is_full()
+        table = values if full else dict(values)
         # a key 1.0 or True would pass the key comparison as the mask 1
-        if table.keys() != members or not set(map(type, table)) <= {int}:
+        if len(table) != len(members) or not set(map(type, table)) <= {int} or (
+            min(table) < 0 or max(table) > ground.full_mask if full else table.keys() != members
+        ):
             raise DomainError("measure table must cover exactly the set family")
-        for bad in bad_ranks(table.values(), *scale.rank_range):
+        if full:  # 2**n distinct masks in range: each mask once, read in order
+            table = tuple(map(table.__getitem__, members))
+        for bad in bad_ranks(table if full else table.values(), *scale.rank_range):
             raise DomainError(f"measure value rank {bad} outside chain {scale.id!r}")
-        ground = family.ground
         n = ground.size
-        if family.is_full():
-            clean = _is_monotone(map(table.__getitem__, ground.subsets()), n)
+        if full:
+            clean = _is_monotone(table, n)
         elif len(members) ** 2 > n << n:
-            by_mask = _spread(table, ground, 0)
-            _upper_sweep(by_mask, n)
-            clean = all(by_mask[m] == v for m, v in table.items())
+            swept = _upper_sweep(_spread(table, ground, 0), n)
+            clean = all(swept[m] == v for m, v in table.items())
         else:
             clean = False
         if not clean:
@@ -161,22 +161,26 @@ class Measure:
             raise DomainError("measure of the empty set must be the bottom")
         if table[ground.full_mask] != scale.size - 1:
             raise DomainError("measure of the whole set must be the top")
-        vars(self).update(
-            family=family, scale=scale, _at=table.__getitem__, values=MappingProxyType(table)
-        )
+        vars(self).update(family=family, scale=scale, _table=table, _at=table.__getitem__)
 
     @classmethod
     def _closed(cls, family: SetFamily, scale: Chain, at, build) -> "Measure":
         """A measure monotone by construction: `at(mask)` evaluates it at a
-        member of the family, `build()` returns its whole table."""
+        member of the family, `build()` returns its whole table in the
+        family's form, a tuple by mask over the powerset, else a dict."""
         m = cls.__new__(cls)
         vars(m).update(family=family, scale=scale, _at=at, _build=build)
         return m
 
     @cached_property
+    def _table(self) -> tuple[int, ...] | dict[int, int]:
+        return self._build()
+
+    @cached_property
     def values(self) -> Mapping[int, int]:
         """The table over the family, read-only."""
-        return MappingProxyType(self._build())
+        table = self._table
+        return MappingProxyType(dict(enumerate(table)) if self.is_total() else table)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -188,7 +192,7 @@ class Measure:
         if not isinstance(other, Measure):
             return NotImplemented
         return (self.family, self.scale) == (other.family, other.scale) and (
-            self.values == other.values
+            self._table == other._table
         )
 
     def __hash__(self):
@@ -204,9 +208,9 @@ class Measure:
     def ground(self) -> GroundSet:
         return self.family.ground
 
-    def _by_mask(self) -> list[int]:
-        """The table over the full powerset as a list indexed by mask."""
-        return list(map(self.values.__getitem__, self.ground.subsets()))
+    def _by_mask(self) -> tuple[int, ...]:
+        """The table over the full powerset, indexed by mask."""
+        return self._table
 
     def is_total(self) -> bool:
         return self.family.is_full()
@@ -215,7 +219,7 @@ class Measure:
         family = self.family
         if type(mask) is not int or not 0 <= mask <= family.ground.full_mask:
             raise DomainError(f"subset mask {mask} outside the ground set")
-        if not family.is_full() and mask not in family.members:
+        if mask not in family.members:
             raise DomainError(
                 f"subset {self.ground.format_mask(mask)} not in the measure's family"
             )
@@ -264,8 +268,9 @@ def _is_monotone(table, n: int) -> bool:
     )
 
 
-def _upper_sweep(table: list[int], n: int) -> None:
-    """Replace each entry by the max over the entries of its subsets."""
+def _upper_sweep(table, n: int) -> tuple[int, ...]:
+    """The table with each entry replaced by the max over the entries of
+    its subsets."""
     word, guards = _pack(table, n), _guards(1 << n)
     for shift, lacking in _layers(n):
         up = word >> shift
@@ -274,18 +279,19 @@ def _upper_sweep(table: list[int], n: int) -> None:
         # kept guard bit, less its value shifted to the field's bit 0, masks
         # the field's low 15 bits)
         word ^= ((word ^ up) & (at_least - (at_least >> 15))) << shift
-    table[:] = _unpack(word, n)
+    return _unpack(word, n)
 
 
-def _lower_sweep(table: list[int], n: int) -> None:
-    """Replace each entry by the min over the entries of its supersets."""
+def _lower_sweep(table, n: int) -> tuple[int, ...]:
+    """The table with each entry replaced by the min over the entries of
+    its supersets."""
     word, guards = _pack(table, n), _guards(1 << n)
     for shift, lacking in _layers(n):
         up = word >> shift
         at_least = ((word | guards) - up) & lacking
         # where a set's entry is at least its partner's, take the partner's
         word ^= (word ^ up) & (at_least - (at_least >> 15))
-    table[:] = _unpack(word, n)
+    return _unpack(word, n)
 
 
 def _spread(values: dict[int, int], ground: GroundSet, fill: int) -> list[int]:
@@ -296,8 +302,8 @@ def _spread(values: dict[int, int], ground: GroundSet, fill: int) -> list[int]:
     return table
 
 
-def _first_violation(family: SetFamily, values: dict[int, int]) -> tuple[int, int] | None:
-    """The first pair a <= b with values[a] > values[b] in scan order, or None.
+def _first_violation(family: SetFamily, table) -> tuple[int, int] | None:
+    """The first pair a <= b with table[a] > table[b] in scan order, or None.
 
     Over the full powerset the scan takes single-element steps from each
     set in mask order; over a partial family it runs through member pairs
@@ -308,13 +314,13 @@ def _first_violation(family: SetFamily, values: dict[int, int]) -> tuple[int, in
         for a in ground.subsets():
             for i in range(ground.size):
                 b = a | 1 << i
-                if b != a and values[a] > values[b]:
+                if b != a and table[a] > table[b]:
                     return a, b
         return None
     ms = sorted(family.members, key=lambda m: (m.bit_count(), m))
     for i, a in enumerate(ms):
         for b in ms[i + 1 :]:
-            if a & b == a and values[a] > values[b]:
+            if a & b == a and table[a] > table[b]:
                 return a, b
     return None
 
@@ -329,17 +335,10 @@ def _extension(m: Measure, at, fill: int, sweep) -> Measure:
     spread over the powerset with `fill` elsewhere, then swept: the bottom
     for the join sweep and the top for the meet sweep, so it never shows."""
     ground = m.ground
-
-    def by_mask() -> list[int]:
-        table = _spread(m.values, ground, fill)
-        sweep(table, ground.size)
-        return table
-
-    ext = Measure._closed(
-        SetFamily.full(ground), m.scale, at, lambda: dict(enumerate(by_mask()))
+    return Measure._closed(
+        SetFamily.full(ground), m.scale, at,
+        lambda: sweep(_spread(m.values, ground, fill), ground.size),
     )
-    vars(ext)["_by_mask"] = by_mask
-    return ext
 
 
 def inner_extension(m: Measure) -> Measure:
@@ -371,10 +370,14 @@ def _two_valued(family: SetFamily, scale: Chain, high) -> Measure:
     t = scale.size - 1
     if t and not high(family.ground.full_mask):  # a coalition outside the ground set
         raise DomainError("measure of the whole set must be the top")
+
+    def at(a: int) -> int:
+        return t if high(a) else 0
+
+    members = family.members
     return Measure._closed(
-        family, scale,
-        lambda a: t if high(a) else 0,
-        lambda: {a: t if high(a) else 0 for a in family.members},
+        family, scale, at,
+        lambda: tuple(map(at, members)) if family.is_full() else {a: at(a) for a in members},
     )
 
 
@@ -433,12 +436,10 @@ def _require_total(m: Measure, op: str) -> None:
         raise DomainError(f"{op} is defined for measures on the full powerset only")
 
 
-def _swept(m: Measure, table: list[int], points, fill: int, sweep) -> bool:
-    """Whether m's table, a list indexed by mask, is `sweep` of its values
-    at `points` with `fill` elsewhere."""
-    expect = _spread({a: table[a] for a in points}, m.ground, fill)
-    sweep(expect, m.ground.size)
-    return expect == table
+def _swept(m: Measure, table: tuple[int, ...], points, fill: int, sweep) -> bool:
+    """Whether m's table, indexed by mask, is `sweep` of its values at
+    `points` with `fill` elsewhere."""
+    return sweep(_spread({a: table[a] for a in points}, m.ground, fill), m.ground.size) == table
 
 
 def is_minitive(m: Measure) -> bool:
@@ -490,8 +491,8 @@ def verify_chain(m: Measure, sets, kind: str) -> bool:
     return _rebuilds(m, m._by_mask(), sets, kind)
 
 
-def _rebuilds(m: Measure, table: list[int], sets, kind: str) -> bool:
-    """`verify_chain` against m's table read as a list indexed by mask."""
+def _rebuilds(m: Measure, table: tuple[int, ...], sets, kind: str) -> bool:
+    """`verify_chain` against m's table indexed by mask."""
     ordered = _validate_chain_sets(m.ground, list(sets))
     rebuilt = chain_measure(m.ground, m.scale, ordered, [table[s] for s in ordered], kind)
     return rebuilt._by_mask() == table

@@ -34,7 +34,6 @@ from .measures import (
     GroundSet,
     Measure,
     SetFamily,
-    _Unshared,
     chain_measure,
     co_unanimity,
     unanimity,
@@ -276,7 +275,7 @@ def _rows(
     return values
 
 
-def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> _Unshared:
+def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, int]:
     """A measure's rows as a subset -> rank table.
 
     A row spelled `{a,b} label` (one space, no blanks inside the braces,
@@ -289,7 +288,7 @@ def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> _Unshared:
     # the first name keeps the brace; a bare "{" is no key, so `{,a}` misses
     first = {"{" + name: bit for name, bit in bits.items()}
     rank_index = scale._rank_index
-    table = _Unshared()
+    table: dict[int, int] = {}
     repeat: SpecParseError | None = None
     for line_no, text in b.rows():
         subset, _, value = text.partition("} ")

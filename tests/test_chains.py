@@ -321,9 +321,9 @@ def test_derived_chains_are_built_once(labels):
     assert r.as_chain().rank_range == (0, 6)
 
 
-def test_unlabelled_signed_lookup_computes_no_label(monkeypatch):
-    """Spec loading on an unlabelled reflection scale reads the digits
-    themselves: it neither displays labels nor builds the carrier."""
+@pytest.fixture
+def label_calls(monkeypatch):
+    """Every rank that a chain or reflection chain displays as a label."""
     calls = []
 
     def counted(label):
@@ -334,7 +334,27 @@ def test_unlabelled_signed_lookup_computes_no_label(monkeypatch):
 
     for cls in (Chain, ReflChain):
         monkeypatch.setattr(cls, "label", counted(cls.label))
+    return calls
+
+
+def test_unlabelled_signed_lookup_computes_no_label(label_calls):
+    """Spec loading on an unlabelled reflection scale reads the canonical
+    decimals of its half: it neither displays labels nor builds the carrier."""
     r = ReflChain("r", 4999)
     got = [r.srank_of_label(t) for t in ("0", "4999", "-17", "5000", "-0", "x")]
     assert got == [0, 4999, -17, None, None, None]
-    assert calls == []
+    assert label_calls == []
+
+
+def test_labelled_signed_lookup_computes_no_label(label_calls):
+    """On a labelled reflection scale the lookup reads the label index of
+    the nonnegative half, a minus sign included or stripped, and never
+    displays the carrier's labels."""
+    r = ReflChain("r", 3, ("z", "1", "-0", "b"))
+    texts = ("z", "b", "-b", "-0", "--0", "-1", "-z", "x", "-", "0")
+    got = [r.srank_of_label(t) for t in texts]
+    assert got == [0, 3, -3, 2, -2, -1, None, None, None, None]
+    assert label_calls == []
+    # the carrier's own index, displayed through `label`, agrees
+    carrier = [r.as_chain().rank_of_label(t) for t in texts]
+    assert got == [None if k is None else k - 3 for k in carrier]

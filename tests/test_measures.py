@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -70,7 +71,7 @@ class TestMeasureConstruction:
         assert (m(1), m(3)) == (1, 2)
         assert repr(m) == (
             "Measure(SetFamily(ground=GroundSet(elements=('a', 'b')), "
-            "members=frozenset({0, 1, 2, 3})), Chain(id='c3', size=3, labels=None), "
+            "members=range(0, 4)), Chain(id='c3', size=3, labels=None), "
             "{0: 0, 1: 1, 2: 1, 3: 2})"
         )
         assert (m == 1) is False
@@ -91,6 +92,52 @@ class TestMeasureConstruction:
             CommFn(C3, C4, (0, 4, 3))
         with pytest.raises(DomainError, match="^commensurability function must be increasing$"):
             CommFn(C3, C4, (0, 3, 2))
+
+    @pytest.mark.parametrize("stray", [4, -1])
+    def test_full_family_keys_outside_the_powerset(self, stray):
+        # as many distinct int keys as subsets, one of them no subset
+        with pytest.raises(DomainError, match="^measure table must cover exactly the set family$"):
+            Measure(SetFamily.full(G2), C3, {0: 0, 1: 1, 3: 2, stray: 1})
+
+    def test_values_map_masks_to_ranks_in_either_form(self):
+        full = Measure(SetFamily.full(G2), C3, {3: 2, 2: 1, 1: 1, 0: 0})
+        part = Measure(SetFamily(G2, [3, 2, 0]), C3, {3: 2, 2: 1, 0: 0})
+        assert list(full.values.items()) == [(0, 0), (1, 1), (2, 1), (3, 2)]
+        assert dict(part.values) == {0: 0, 2: 1, 3: 2}
+        assert (full(2), part(2)) == (1, 1)
+
+
+def test_a_full_table_is_held_without_the_callers_dict():
+    """At 16 elements a loaded table keeps one tuple of 2**16 ranks, not
+    the caller's dict or a copy of it, nor a set of the masks."""
+    ground = GroundSet(tuple(f"e{i}" for i in range(16)))
+    tracemalloc.start()
+    try:
+        values = {a: a.bit_count() for a in ground.subsets()}
+        m = Measure(SetFamily.full(ground), Chain("c", 17), values)
+        del values
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert m(0xFFFF) == 16 and m(0x0101) == 2
+    assert retained < 1 << 20
+
+
+class TestSetFamily:
+    @pytest.mark.parametrize("members", [range(4), frozenset(range(4)), [3, 2, 1, 0, 0]])
+    def test_every_mask_makes_the_powerset(self, members):
+        family = SetFamily(G2, members)
+        assert family == SetFamily.full(G2) and hash(family) == hash(SetFamily.full(G2))
+        assert type(family.members) is range and family.members == range(4)
+        assert family.is_full()
+
+    @pytest.mark.parametrize("members", [[0, 3], [0, 1, 3, 3], frozenset({0, 2, 3})])
+    def test_a_partial_family_is_a_frozenset(self, members):
+        family = SetFamily(G2, members)
+        assert family.members == frozenset(members) and type(family.members) is frozenset
+        assert not family.is_full()
+        m = Measure(family, C3, {a: min(a.bit_count(), 2) for a in family.members})
+        assert m.values.keys() == family.members
 
 
 class TestZeta:
