@@ -11,13 +11,12 @@ and the median, and the signed symmetric/asymmetric variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import gt
 
 from .chains import Chain, ChainElem, ReflChain, bad_ranks
 from .correspondences import Corr, TotalFn, _graph, inner_product, dual_product, \
     inverse, saturate, sharp_saturate
-from .errors import ChainMismatchError, DomainError
+from .errors import ChainMismatchError, DomainError, _Frozen
 from .intervals import Interval, RInterval, refl_interval, svee_intervals
 from .measures import GroundSet, Measure
 
@@ -26,24 +25,30 @@ PLAIN = "plain"
 VARIANTS = (SHARP, PLAIN)
 
 
-@dataclass(frozen=True)
-class LatticeFn:
+class LatticeFn(_Frozen):
     """A total function from a ground set into a chain or reflection chain.
 
     Values are ranks for a plain scale and signed ranks for a reflection
     scale, indexed by element position.
     """
 
-    ground: GroundSet
-    scale: Chain | ReflChain
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.ground.size:
+    def __init__(self, ground: GroundSet, scale: Chain | ReflChain, values: tuple[int, ...]):
+        values = tuple(values)
+        if len(values) != ground.size:
             raise DomainError("function table must cover the whole ground set")
-        for v in bad_ranks(self.values, *self.scale.rank_range):
-            raise DomainError(f"function value {v} outside scale {self.scale.id!r}")
+        for v in bad_ranks(values, *scale.rank_range):
+            raise DomainError(f"function value {v} outside scale {scale.id!r}")
+        self._set("ground", ground)
+        self._set("scale", scale)
+        self._set("values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ground, self.scale, self.values) == (other.ground, other.scale, other.values)
+
+    def __hash__(self):
+        return hash((self.ground, self.scale, self.values))
 
     def is_refl(self) -> bool:
         return isinstance(self.scale, ReflChain)
@@ -65,22 +70,28 @@ class LatticeFn:
         return cls(ground, scale, (value,) * ground.size)
 
 
-@dataclass(frozen=True)
-class CommFn:
+class CommFn(_Frozen):
     """An increasing total map relating the measure scale to the function scale."""
 
-    src: Chain
-    dst: Chain
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.src.size:
+    def __init__(self, src: Chain, dst: Chain, values: tuple[int, ...]):
+        values = tuple(values)
+        if len(values) != src.size:
             raise DomainError("commensurability table must cover the source chain")
-        for v in bad_ranks(self.values, *self.dst.rank_range):
-            raise DomainError(f"commensurability value {v} outside {self.dst.id!r}")
-        if any(map(gt, self.values, self.values[1:])):
+        for v in bad_ranks(values, *dst.rank_range):
+            raise DomainError(f"commensurability value {v} outside {dst.id!r}")
+        if any(map(gt, values, values[1:])):
             raise DomainError("commensurability function must be increasing")
+        self._set("src", src)
+        self._set("dst", dst)
+        self._set("values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.src, self.dst, self.values) == (other.src, other.dst, other.values)
+
+    def __hash__(self):
+        return hash((self.src, self.dst, self.values))
 
     def __call__(self, p: int) -> int:
         if type(p) is not int or not 0 <= p < self.src.size:

@@ -9,10 +9,9 @@ every lattice operation reduces to integer comparisons on ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ChainMismatchError, DomainError
+from .errors import ChainMismatchError, DomainError, _Frozen
 
 # Spec loading resolves labels through a per-chain index (on a reflection
 # chain, the index of its nonnegative half), so it does not grow with
@@ -42,29 +41,30 @@ def _check_labels(what: str, labels: tuple[str, ...]) -> None:
             raise DomainError(f"{what}: label {text!r} starts with 'rank:'")
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Frozen):
     """A finite totally ordered scale, identified by name and size."""
 
-    id: str
-    size: int
-    labels: tuple[str, ...] | None = None
+    def __init__(self, id: str, size: int, labels: tuple[str, ...] | None = None):
+        if type(size) is not int or size < 1:
+            raise DomainError(f"chain {id!r}: size must be a positive integer")
+        if size > MAX_CHAIN_SIZE:
+            raise DomainError(f"chain {id!r}: size {size} exceeds the maximum {MAX_CHAIN_SIZE}")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != size:
+                raise DomainError(f"chain {id!r}: expected {size} labels, got {len(labels)}")
+            _check_labels(f"chain {id!r}", labels)
+        self._set("id", id)
+        self._set("size", size)
+        self._set("labels", labels)
 
-    def __post_init__(self):
-        if type(self.size) is not int or self.size < 1:
-            raise DomainError(f"chain {self.id!r}: size must be a positive integer")
-        if self.size > MAX_CHAIN_SIZE:
-            raise DomainError(
-                f"chain {self.id!r}: size {self.size} exceeds the maximum {MAX_CHAIN_SIZE}"
-            )
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != self.size:
-                raise DomainError(
-                    f"chain {self.id!r}: expected {self.size} labels, got {len(labels)}"
-                )
-            _check_labels(f"chain {self.id!r}", labels)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.size, self.labels) == (other.id, other.size, other.labels)
+
+    def __hash__(self):
+        return hash((self.id, self.size, self.labels))
 
     @property
     def rank_range(self) -> tuple[int, int]:
@@ -95,24 +95,27 @@ class Chain:
         return ChainElem(self, rank)
 
 
-@dataclass(frozen=True)
-class ChainElem:
+class ChainElem(_Frozen):
     """A point of a chain, identified by rank."""
 
-    chain: Chain
-    rank: int
+    def __init__(self, chain: Chain, rank: int):
+        if type(rank) is not int:
+            raise DomainError(f"rank {rank!r} for chain {chain.id!r} is not an integer")
+        lo, hi = chain.rank_range
+        if not lo <= rank <= hi:
+            raise DomainError(
+                f"rank {rank} out of range for chain {chain.id!r} of size {chain.size}"
+            )
+        self._set("chain", chain)
+        self._set("rank", rank)
 
-    def __post_init__(self):
-        if type(self.rank) is not int:
-            raise DomainError(
-                f"rank {self.rank!r} for chain {self.chain.id!r} is not an integer"
-            )
-        lo, hi = self.chain.rank_range
-        if not lo <= self.rank <= hi:
-            raise DomainError(
-                f"rank {self.rank} out of range for chain {self.chain.id!r} "
-                f"of size {self.chain.size}"
-            )
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.chain, self.rank) == (other.chain, other.rank)
+
+    def __hash__(self):
+        return hash((self.chain, self.rank))
 
     def __str__(self):
         return self.chain.label(self.rank)
@@ -150,8 +153,7 @@ def leq(x: ChainElem, y: ChainElem) -> bool:
     return x.rank <= y.rank
 
 
-@dataclass(frozen=True)
-class ReflChain:
+class ReflChain(_Frozen):
     """Two order-dual copies of a chain glued at a shared reference point.
 
     The carrier has 2*half_size + 1 points with signed ranks in
@@ -160,33 +162,37 @@ class ReflChain:
     negative points display with a leading minus.
     """
 
-    id: str
-    half_size: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if type(self.half_size) is not int or self.half_size < 1:
-            raise DomainError(f"reflection chain {self.id!r}: half_size must be >= 1")
-        if 2 * self.half_size + 1 > MAX_CHAIN_SIZE:
-            raise DomainError(
-                f"reflection chain {self.id!r}: carrier exceeds the maximum size"
-            )
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != self.half_size + 1:
+    def __init__(self, id: str, half_size: int, labels: tuple[str, ...] | None = None):
+        if type(half_size) is not int or half_size < 1:
+            raise DomainError(f"reflection chain {id!r}: half_size must be >= 1")
+        if 2 * half_size + 1 > MAX_CHAIN_SIZE:
+            raise DomainError(f"reflection chain {id!r}: carrier exceeds the maximum size")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != half_size + 1:
                 raise DomainError(
-                    f"reflection chain {self.id!r}: expected {self.half_size + 1} "
+                    f"reflection chain {id!r}: expected {half_size + 1} "
                     f"labels for the nonnegative half, got {len(labels)}"
                 )
-            _check_labels(f"reflection chain {self.id!r}", labels)
+            _check_labels(f"reflection chain {id!r}", labels)
             reflected = set(labels[1:])
             for text in labels:
                 if text.startswith("-") and text[1:] in reflected:
                     raise DomainError(
-                        f"reflection chain {self.id!r}: label {text!r} collides "
+                        f"reflection chain {id!r}: label {text!r} collides "
                         f"with the reflection of {text[1:]!r}"
                     )
+        self._set("id", id)
+        self._set("half_size", half_size)
+        self._set("labels", labels)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.half_size, self.labels) == (other.id, other.half_size, other.labels)
+
+    def __hash__(self):
+        return hash((self.id, self.half_size, self.labels))
 
     @property
     def size(self) -> int:
@@ -207,7 +213,7 @@ class ReflChain:
         return base if srank >= 0 else "-" + base
 
     def srank_of_label(self, text: str) -> int | None:
-        # no label is "-" plus another nonzero label (`__post_init__`), so a
+        # no label is "-" plus another nonzero label (`__init__`), so a
         # text the half displays is never a reflection
         index = self._half._rank_index
         rank = index.get(text)
@@ -238,25 +244,30 @@ class ReflChain:
         return self._carrier
 
 
-@dataclass(frozen=True)
-class ReflElem:
+class ReflElem(_Frozen):
     """A point of a reflection chain, identified by signed rank."""
 
-    chain: ReflChain
-    srank: int
+    def __init__(self, chain: ReflChain, srank: int):
+        if type(srank) is not int:
+            raise DomainError(
+                f"signed rank {srank!r} for reflection chain {chain.id!r} is not an integer"
+            )
+        lo, hi = chain.rank_range
+        if not lo <= srank <= hi:
+            raise DomainError(
+                f"signed rank {srank} out of range for reflection chain "
+                f"{chain.id!r} of half size {chain.half_size}"
+            )
+        self._set("chain", chain)
+        self._set("srank", srank)
 
-    def __post_init__(self):
-        if type(self.srank) is not int:
-            raise DomainError(
-                f"signed rank {self.srank!r} for reflection chain {self.chain.id!r} "
-                "is not an integer"
-            )
-        lo, hi = self.chain.rank_range
-        if not lo <= self.srank <= hi:
-            raise DomainError(
-                f"signed rank {self.srank} out of range for reflection chain "
-                f"{self.chain.id!r} of half size {self.chain.half_size}"
-            )
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.chain, self.srank) == (other.chain, other.srank)
+
+    def __hash__(self):
+        return hash((self.chain, self.srank))
 
     def __str__(self):
         return self.chain.label(self.srank)

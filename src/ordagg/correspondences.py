@@ -10,19 +10,17 @@ here drive the aggregation functionals.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
 
 from .chains import Chain, ChainElem, bad_ranks
-from .errors import ChainMismatchError, DomainError
+from .errors import ChainMismatchError, DomainError, _Frozen
 from .intervals import Interval, Rel, sqcup, topkis_cmp
 
 _CHAIN, _LO, _HI = attrgetter("chain"), attrgetter("lo"), attrgetter("hi")
 
 
-@dataclass(frozen=True)
-class Corr:
+class Corr(_Frozen):
     """A partial map from source ranks to intervals over the destination:
     the paper's interval-valued correspondence, identified with its graph
     (construction checks: `tests/test_preconditions.py`).
@@ -32,28 +30,36 @@ class Corr:
     hash is over the two chains.
     """
 
-    src: Chain
-    dst: Chain
-    table: Mapping[int, Interval] = field(default_factory=dict, hash=False)
-
-    def __post_init__(self):
+    def __init__(self, src: Chain, dst: Chain,
+                 table: Mapping[int, Interval] = MappingProxyType({})):
         # C-level passes over the keys and the value chains; `count` tries
         # identity before `==`, so an equal chain built apart still passes
-        table = dict(self.table)
+        table = dict(table)
         if not (set(map(type, table)) <= {int}
-                and (not table or 0 <= min(table) and max(table) < self.src.size)
-                and list(map(_CHAIN, table.values())).count(self.dst) == len(table)):
-            self._raise_first_offender(table)
-        object.__setattr__(self, "table", MappingProxyType(table))
+                and (not table or 0 <= min(table) and max(table) < src.size)
+                and list(map(_CHAIN, table.values())).count(dst) == len(table)):
+            self._raise_first_offender(src, dst, table)
+        self._set("src", src)
+        self._set("dst", dst)
+        self._set("table", MappingProxyType(table))
 
-    def _raise_first_offender(self, table: dict) -> None:
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.src, self.dst, self.table) == (other.src, other.dst, other.table)
+
+    def __hash__(self):
+        return hash((self.src, self.dst))
+
+    @staticmethod
+    def _raise_first_offender(src: Chain, dst: Chain, table: dict) -> None:
         """Raise for the first bad key or value in table order."""
         for x, iv in table.items():
-            if type(x) is not int or not 0 <= x < self.src.size:
-                raise DomainError(f"domain point {x} outside chain {self.src.id!r}")
-            if iv.chain != self.dst:
+            if type(x) is not int or not 0 <= x < src.size:
+                raise DomainError(f"domain point {x} outside chain {src.id!r}")
+            if iv.chain != dst:
                 raise ChainMismatchError(
-                    f"value at {x} lies over chain {iv.chain.id!r}, expected {self.dst.id!r}"
+                    f"value at {x} lies over chain {iv.chain.id!r}, expected {dst.id!r}"
                 )
 
     def __reduce__(self):  # a read-only mapping does not pickle; its table does
@@ -71,25 +77,28 @@ class Corr:
         return self.table[x]
 
 
-@dataclass(frozen=True)
-class TotalFn:
+class TotalFn(_Frozen):
     """A total function between chains, stored as a rank tuple; `as_corr`
     gives its graph, the paper's total monotone correspondence when the
     ranks are monotone (`oracle_inverse` checks inverses of such graphs)."""
 
-    src: Chain
-    dst: Chain
-    values: tuple[int, ...]
+    def __init__(self, src: Chain, dst: Chain, values: tuple[int, ...]):
+        values = tuple(values)
+        if len(values) != src.size:
+            raise DomainError(f"function table has {len(values)} entries, expected {src.size}")
+        for v in bad_ranks(values, *dst.rank_range):
+            raise DomainError(f"value rank {v} outside chain {dst.id!r}")
+        self._set("src", src)
+        self._set("dst", dst)
+        self._set("values", values)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.src.size:
-            raise DomainError(
-                f"function table has {len(self.values)} entries, "
-                f"expected {self.src.size}"
-            )
-        for v in bad_ranks(self.values, *self.dst.rank_range):
-            raise DomainError(f"value rank {v} outside chain {self.dst.id!r}")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.src, self.dst, self.values) == (other.src, other.dst, other.values)
+
+    def __hash__(self):
+        return hash((self.src, self.dst, self.values))
 
     def __call__(self, x: int) -> int:
         if type(x) is not int or not 0 <= x < self.src.size:

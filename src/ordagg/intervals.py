@@ -9,11 +9,10 @@ point shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .chains import Chain, ReflChain
-from .errors import ChainMismatchError, DomainError
+from .errors import ChainMismatchError, DomainError, _Frozen
 
 
 class Rel(str, Enum):
@@ -23,21 +22,26 @@ class Rel(str, Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Frozen):
     """A nonempty closed interval [lo, hi] of a chain, stored by rank."""
 
-    chain: Chain
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if not (type(self.lo) is int and type(self.hi) is int
-                and 0 <= self.lo <= self.hi < self.chain.size):
+    def __init__(self, chain: Chain, lo: int, hi: int):
+        if not (type(lo) is int and type(hi) is int and 0 <= lo <= hi < chain.size):
             raise DomainError(
-                f"invalid interval endpoints [{self.lo},{self.hi}] for chain "
-                f"{self.chain.id!r} of size {self.chain.size}"
+                f"invalid interval endpoints [{lo},{hi}] for chain "
+                f"{chain.id!r} of size {chain.size}"
             )
+        self._set("chain", chain)
+        self._set("lo", lo)
+        self._set("hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.chain, self.lo, self.hi) == (other.chain, other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.chain, self.lo, self.hi))
 
     def __contains__(self, rank: int) -> bool:
         return self.lo <= rank <= self.hi
@@ -110,27 +114,30 @@ def sqcap_family(intervals) -> Interval:
     return Interval(ivs[0].chain, min(iv.lo for iv in ivs), min(iv.hi for iv in ivs))
 
 
-@dataclass(frozen=True)
-class RInterval:
+class RInterval(_Frozen):
     """A nonvoid interval inside one half of a reflection chain, as a pair
     of signed ranks; the half is read off their signs.  The singleton at
     the reference point, shared by both halves, is neutral."""
 
-    chain: ReflChain
-    lo: int
-    hi: int
+    def __init__(self, chain: ReflChain, lo: int, hi: int):
+        bottom, top = chain.rank_range
+        if not (type(lo) is int and type(hi) is int and bottom <= lo <= hi <= top):
+            raise DomainError(
+                f"invalid signed endpoints [{lo},{hi}] for reflection chain {chain.id!r}"
+            )
+        if lo < 0 < hi:
+            raise DomainError(f"signed interval [{lo},{hi}] crosses the reference point")
+        self._set("chain", chain)
+        self._set("lo", lo)
+        self._set("hi", hi)
 
-    def __post_init__(self):
-        lo, hi = self.chain.rank_range
-        if not (type(self.lo) is int and type(self.hi) is int and lo <= self.lo <= self.hi <= hi):
-            raise DomainError(
-                f"invalid signed endpoints [{self.lo},{self.hi}] for reflection "
-                f"chain {self.chain.id!r}"
-            )
-        if self.lo < 0 < self.hi:
-            raise DomainError(
-                f"signed interval [{self.lo},{self.hi}] crosses the reference point"
-            )
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.chain, self.lo, self.hi) == (other.chain, other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.chain, self.lo, self.hi))
 
 
 def format_rinterval(x: RInterval) -> str:

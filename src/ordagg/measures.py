@@ -10,25 +10,20 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Mapping
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from types import MappingProxyType
 
 from .chains import Chain, ChainElem, bad_ranks
-from .errors import DomainError
+from .errors import DomainError, _Frozen
 
 MAX_GROUND_SIZE = 16
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(_Frozen):
     """An ordered finite universe whose subsets are bitmasks."""
 
-    elements: tuple[str, ...]
-
-    def __post_init__(self):
-        elements = tuple(self.elements)
-        object.__setattr__(self, "elements", elements)
+    def __init__(self, elements: tuple[str, ...]):
+        elements = tuple(elements)
         if not elements:
             raise DomainError("ground set must be nonempty")
         if len(elements) > MAX_GROUND_SIZE:
@@ -37,6 +32,15 @@ class GroundSet:
             raise DomainError("ground set elements must be strings")
         if len(set(elements)) != len(elements):
             raise DomainError("ground set elements must be distinct")
+        self._set("elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.elements == other.elements
+
+    def __hash__(self):
+        return hash((self.elements,))
 
     @property
     def size(self) -> int:
@@ -73,8 +77,7 @@ class GroundSet:
         return range(self.full_mask + 1)
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(_Frozen):
     """A family of subsets containing the empty set and the whole set.
 
     `members` is a read-only set of masks with O(1) membership: the
@@ -83,20 +86,26 @@ class SetFamily:
     families compare and hash equal.
     """
 
-    ground: GroundSet
-    members: range | frozenset[int]
-
-    def __post_init__(self):
-        members, full = self.members, self.ground.full_mask
+    def __init__(self, ground: GroundSet, members: range | frozenset[int]):
+        full = ground.full_mask
         powerset = range(full + 1)
         if members != powerset:  # the powerset's own range needs no check
             members = frozenset(members)
             for bad in bad_ranks(members, 0, full):
                 raise DomainError(f"subset mask {bad} outside the ground set")
-        # masks in range, as many as there are subsets: every subset
-        object.__setattr__(self, "members", powerset if len(members) > full else members)
         if 0 not in members or full not in members:
             raise DomainError("set family must contain the empty set and the whole set")
+        self._set("ground", ground)
+        # masks in range, as many as there are subsets: every subset
+        self._set("members", powerset if len(members) > full else members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ground, self.members) == (other.ground, other.members)
+
+    def __hash__(self):
+        return hash((self.ground, self.members))
 
     @classmethod
     def full(cls, ground: GroundSet) -> "SetFamily":
@@ -107,7 +116,7 @@ class SetFamily:
         return type(self.members) is range
 
 
-class Measure:
+class Measure(_Frozen):
     """A monotone set function into a chain, with fixed endpoints.
 
     Frozen.  `Measure(family, scale, values)` keeps its own copy of the
@@ -181,12 +190,6 @@ class Measure:
         """The table over the family, read-only."""
         table = self._table
         return MappingProxyType(dict(enumerate(table)) if self.is_total() else table)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if not isinstance(other, Measure):
@@ -347,7 +350,10 @@ def inner_extension(m: Measure) -> Measure:
     The value at a set is the join of the measure over family members
     contained in it; the table is that join folded one element at a time
     over the subset lattice (the empty set anchors every chain of subsets).
+    A measure on the whole powerset is its own extension.
     """
+    if m.is_total():
+        return m
     items = m.values.items()
     return _extension(m, lambda a: max(v for b, v in items if b & a == b), 0, _upper_sweep)
 
@@ -357,7 +363,10 @@ def outer_extension(m: Measure) -> Measure:
 
     The value at a set is the meet of the measure over family members
     containing it (the whole set anchors every chain of supersets).
+    A measure on the whole powerset is its own extension.
     """
+    if m.is_total():
+        return m
     items = m.values.items()
     return _extension(
         m, lambda a: min(v for b, v in items if b & a == a), m.scale.size - 1, _lower_sweep

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 
 from .aggregation import CommFn, LatticeFn
 from .chains import Chain, ReflChain
-from .errors import DomainError, SpecParseError, SpecValidationError
+from .errors import DomainError, SpecParseError, SpecValidationError, _Frozen
 from .measures import (
     GroundSet,
     Measure,
@@ -45,26 +44,36 @@ _SUBSET_LINE = re.compile(r"^(\{[^}]*\})\s*(\S+)?\s*$")
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
 
-@dataclass(eq=True)
 class SpecFile:
     """A fully validated bundle of named scales, measures, functions, comms."""
 
-    scales: dict[str, Chain | ReflChain] = field(default_factory=dict)
-    ground: GroundSet | None = None
-    measures: dict[str, Measure] = field(default_factory=dict)
-    functions: dict[str, LatticeFn] = field(default_factory=dict)
-    comms: dict[str, CommFn] = field(default_factory=dict)
+    def __init__(
+        self,
+        scales: dict[str, Chain | ReflChain] | None = None,
+        ground: GroundSet | None = None,
+        measures: dict[str, Measure] | None = None,
+        functions: dict[str, LatticeFn] | None = None,
+        comms: dict[str, CommFn] | None = None,
+    ):
+        self.scales = {} if scales is None else scales
+        self.ground = ground
+        self.measures = {} if measures is None else measures
+        self.functions = {} if functions is None else functions
+        self.comms = {} if comms is None else comms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __repr__ = _Frozen.__repr__  # field by field, like the frozen values
 
 
-@dataclass
 class _Block:
     """A directive and its body, the file's `lines[line:end]`."""
 
-    kind: str
-    line: int
-    args: list[str]
-    lines: list[str]
-    end: int
+    def __init__(self, kind: str, line: int, args: list[str], lines: list[str], end: int):
+        self.kind, self.line, self.args, self.lines, self.end = kind, line, args, lines, end
 
     def rows(self) -> Iterator[tuple[int, str]]:
         """The body's lines and their numbers, comments cut, stripped, blanks

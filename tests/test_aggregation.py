@@ -867,13 +867,13 @@ def test_signed_functionals_build_no_chain(monkeypatch):
     ell_plus = CommFn(m, carrier, (4, 5, 6, 7, 8))
     g = LatticeFn(G2, r, (1, 1))
     built = []
-    post_init = Chain.__post_init__
+    init = Chain.__init__
 
-    def counted(self):
-        built.append(self.id)
-        post_init(self)
+    def counted(self, id, *args):
+        built.append(id)
+        init(self, id, *args)
 
-    monkeypatch.setattr(Chain, "__post_init__", counted)
+    monkeypatch.setattr(Chain, "__init__", counted)
     symmetric_fan_sugeno(mu, f, ell)
     asymmetric_fan_sugeno(mu, f, ell_minus, ell_plus)
     ordinal_distance(mu, ell, f, g)
@@ -898,12 +898,12 @@ def test_route_builds_intervals_per_value_not_per_point(monkeypatch, functional,
     assert len(set(ell.values)) == 5
     expected = functional(mu, f, ell, variant)
     built = []
-    post_init = Interval.__post_init__
+    init = Interval.__init__
 
-    def counted(self):
-        built.append((self.lo, self.hi))
-        post_init(self)
+    def counted(self, chain, lo, hi):
+        built.append((lo, hi))
+        init(self, chain, lo, hi)
 
-    monkeypatch.setattr(Interval, "__post_init__", counted)
+    monkeypatch.setattr(Interval, "__init__", counted)
     assert functional(mu, f, ell, variant) == expected
     assert 0 < len(built) <= 5 + 4 * (n + 2)

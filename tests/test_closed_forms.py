@@ -107,6 +107,11 @@ def test_extensions_of_partial_measures_match_the_oracle(n):
     ground = ground_of(n)
     for _ in range(8):
         m = rand_partial_measure(rng, ground, SCALE)
+        if m.is_total():  # the random family took every subset: m is its own extension
+            assert inner_extension(m) is m and outer_extension(m) is m
+            for kind in ("lower", "upper"):
+                assert oracle_extension(ground, m.values.items(), kind) == m.values
+            continue
         assert_closed(inner_extension(m), oracle_extension(ground, m.values.items(), "lower"))
         assert_closed(outer_extension(m), oracle_extension(ground, m.values.items(), "upper"))
 
@@ -254,6 +259,22 @@ def test_cli_eval_at_the_limit_never_builds_the_table(argv, tmp_path, capsys, no
     assert no_sweeps and all("values" not in vars(m) for m in no_sweeps)
 
 
+def test_extensions_of_a_total_measure_are_the_measure(no_sweeps):
+    """On the whole powerset both extensions return the measure itself:
+    neither builds its table as a mapping nor sweeps it."""
+    sf = parse(wide_spec(16))
+    f, ell = sf.functions["f"], sf.comms["id"]
+    counted = Measure(SetFamily.full(sf.ground), sf.scales["m"],
+                      {a: a.bit_count() * 10 // 16 for a in range(1 << 16)})
+    for m in (counted, sf.measures["cl"], sf.measures["un"]):
+        expected = fan_sugeno(m, f, ell)
+        assert inner_extension(m) is m and outer_extension(m) is m
+        assert fan_sugeno(inner_extension(m), f, ell) == expected
+        assert fan_sugeno(outer_extension(m), f, ell, "plain") == fan_sugeno(m, f, ell, "plain")
+    assert "values" not in vars(counted)
+    assert no_sweeps and all("values" not in vars(m) for m in no_sweeps)
+
+
 def test_results_at_the_limit_equal_the_tables():
     sf = parse(wide_spec(16))
     f, ell = sf.functions["f"], sf.comms["id"]
@@ -347,6 +368,20 @@ class TestFrozenValues:
         assert hash(c) == hash(Corr(SCALE, SCALE))
         back = pickle.loads(pickle.dumps(c))
         assert back == c and back.table == c.table
+
+    def test_a_cached_property_is_no_field(self):
+        """A value that has built a cache equals, hashes and prints like
+        one that has not."""
+        labels = ("lo", "mid", "hi")
+        chain, half, carrier = Chain("c", 3, labels), ReflChain("r", 2), ReflChain("r", 2)
+        ground = GroundSet(("a", "b"))
+        assert chain.rank_of_label("mid") == 1 and ground.mask_of(["b"]) == 2
+        assert half.srank_of_label("-1") == -1 and carrier.as_chain().size == 5
+        for built, fresh in ((chain, Chain("c", 3, labels)), (half, ReflChain("r", 2)),
+                             (half, carrier), (ground, GroundSet(("a", "b")))):
+            assert built == fresh and fresh == built and hash(built) == hash(fresh)
+            assert repr(built) == repr(fresh)
+            assert pickle.loads(pickle.dumps(built)) == fresh
 
 
 class TestElementRanks:

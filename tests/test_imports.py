@@ -1,7 +1,9 @@
 """Every name a library module imports is used in that module.
 
 `__init__.py` imports names to re-export them, so it is not checked.
-The CLI does not import the brute-force oracles unless a command needs them.
+The CLI does not import the brute-force oracles unless a command needs them,
+and no module imports `dataclasses` (which loads `inspect`) when it is
+imported: every `ordagg` process would pay for it.
 """
 
 import ast
@@ -63,3 +65,34 @@ def test_cli_does_not_load_the_oracles():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           encoding="utf-8", env=env, check=True)
     assert done.stdout == "False\n"
+
+
+def import_time_modules(tree: ast.Module) -> set[str]:
+    """The modules an import statement outside every function body names:
+    those imported when the module is."""
+    names, nodes = set(), list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+        nodes.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("module", [*MODULES, "__init__.py"])
+def test_no_module_imports_dataclasses_at_import_time(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert "dataclasses" not in import_time_modules(tree)
+
+
+@pytest.mark.parametrize("module", ["ordagg", "ordagg.cli"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          encoding="utf-8", env=env, check=True)
+    assert done.stdout == "[]\n"
