@@ -284,15 +284,63 @@ def _rows(
     return values
 
 
+def _mask_order_table(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, int] | None:
+    """A full table written in the order of `ground.subsets()`, or None.
+
+    Row k of such a table, stripped, is the spelling of mask k, one space
+    and a label, so it is read without splitting names: each chunk of
+    2**(n//2) rows sharing their high elements is checked against its
+    spellings (the low ones with the chunk's tail) and resolved in C-level
+    passes, one chunk of spellings at a time.  Trailing blank lines are
+    allowed; any other blank, comment or spelling gives None, and the row
+    loop reads the block from its first row.  No name or label holds `#`,
+    so a row with a comment never matches.
+    """
+    lines, start, end = b.lines, b.line, b.end
+    while end > start and not lines[end - 1].strip():
+        end -= 1
+    n = ground.size
+    if end - start != 1 << n:
+        return None
+    low = n // 2
+    width = 1 << low
+    closed = ["{" + ",".join(ground.members(j)) for j in range(width)]
+    opens = [head + "," for head in closed]
+    opens[0] = "{"  # the empty low set takes the tail without a comma
+    rank_index = scale._rank_index
+    table: dict[int, int] = {}
+    for first in range(0, 1 << n, width):
+        if first:
+            tail = ",".join(ground.members(first)) + "} "
+            heads = [head + tail for head in opens]
+        else:
+            heads = [head + "} " for head in closed]
+        rows = list(map(str.strip, lines[start + first : start + first + width]))
+        if not all(map(str.startswith, rows, heads)):
+            return None
+        try:
+            table.update(zip(
+                range(first, first + width),
+                map(rank_index.__getitem__, map(str.removeprefix, rows, heads)),
+            ))
+        except KeyError:
+            return None
+    return table
+
+
 def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, int]:
     """A measure's rows as a subset -> rank table.
 
-    A row spelled `{a,b} label` (one space, no blanks inside the braces,
+    A full table in mask order is read by `_mask_order_table`.  Otherwise a
+    row spelled `{a,b} label` (one space, no blanks inside the braces,
     a label or an unlabelled rank) resolves here; any other spelling takes
     the subset pattern and `_parse_rank`, which raise every row error.  No
     label starts with `rank:`, so rank tokens always take that path.  The
     first repeated subset is raised after the last row, so a row error wins.
     """
+    table = _mask_order_table(b, ground, scale)
+    if table is not None:
+        return table
     bits = ground._bits
     # the first name keeps the brace; a bare "{" is no key, so `{,a}` misses
     first = {"{" + name: bit for name, bit in bits.items()}

@@ -356,6 +356,17 @@ class TestExitClasses:
     def test_missing_file_is_3(self, capsys):
         assert run(["check", "/nonexistent/x.spec"]) == 3
 
+    def test_file_that_is_not_utf8_is_3(self, tmp_path, capsys):
+        spec = tmp_path / "bad.spec"
+        spec.write_bytes(b"scale m 2\n\xff\n")
+        assert run(["check", str(spec)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read {spec}: 'utf-8' codec can't decode byte 0xff"
+            " in position 10: invalid start byte\n"
+        )
+
 
 # Three-element ground set, labelled scales; each case has several faults,
 # so the pinned message also pins which one is reported first.

@@ -1,5 +1,6 @@
 """Spec file parsing, validation, and the canonical printer."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from ordagg import (
     format_specfile,
     parse,
 )
+from ordagg import specfile
 from ordagg.specfile import parse_subset
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -372,3 +374,168 @@ def test_canonical_measure_rows_skip_the_general_path(monkeypatch):
         lines[i] = how(subset, value)
     assert parse("".join(lines)) == sf
     assert sorted(calls) == [i + 1 for i in picked]
+
+
+# A full table written in mask order is read by `_mask_order_table`; any
+# other body by the row loop.  The tables are additive (seeded weights,
+# capped at the top), so they are monotone and take many values.
+SCALE_POINTS = 21
+
+
+def _mask_order_spec(n: int, seed: int, labelled: bool = True, kind: str = "table",
+                     blanks: int = 1, after: bool = True) -> list[str]:
+    """A spec's lines: a mask-order table `mu` on e0..e(n-1), `blanks`
+    blank lines, and, if `after`, a function block."""
+    rng = random.Random(f"mask-order:{n}:{seed}")
+    top = SCALE_POINTS - 1
+    weights = [rng.randint(1, max(1, 3 * top // n)) for _ in range(n)]
+    table = [0] * (1 << n)
+    for a in range(1, 1 << n):
+        low = a & -a
+        table[a] = table[a ^ low] + weights[low.bit_length() - 1]
+    table = [min(v, top) for v in table]
+    table[-1] = top
+    names = [f"e{i}" for i in range(n)]
+    label = [f"v{k}" if labelled else str(k) for k in range(SCALE_POINTS)]
+    lines = [f"scale m {SCALE_POINTS}"]
+    if labelled:
+        lines.append("labels m " + " ".join(label))
+    lines += ["omega " + " ".join(names), f"measure mu scale=m kind={kind}"]
+    for a, v in enumerate(table):
+        lines.append("  {" + ",".join(names[i] for i in range(n) if a >> i & 1) + "} " + label[v])
+    lines += [""] * blanks
+    if after:
+        lines.append("function f scale=m")
+        lines += [f"  {e} {label[i % SCALE_POINTS]}" for i, e in enumerate(names)]
+    return lines
+
+
+def _outcome(lines: list[str]):
+    """The parsed spec, or the error's class, line and text."""
+    try:
+        return parse("\n".join(lines) + "\n")
+    except (SpecParseError, SpecValidationError) as e:
+        return type(e), e.line, str(e)
+
+
+def _table_items(lines: list[str]) -> list[tuple[int, int]]:
+    """`mu`'s subset -> rank dict from `_measure_rows`, in insertion order."""
+    blocks = specfile._collect_blocks(lines)
+    sf = specfile.SpecFile()
+    specfile._build_scales(sf, blocks)
+    specfile._build_ground(sf, blocks)
+    b = next(b for b in blocks if b.kind == "measure")
+    return list(specfile._measure_rows(b, sf.ground, sf.scales["m"]).items())
+
+
+def _row_loop(monkeypatch):
+    """Send every block to the row loop, as if no table were in mask order."""
+    monkeypatch.setattr(specfile, "_mask_order_table", lambda b, ground, scale: None)
+
+
+MASK_ORDER_CASES = {
+    "n12-labelled": dict(n=12, seed=1),
+    "n12-unlabelled": dict(n=12, seed=2, labelled=False),
+    "n12-last-block-trailing-blanks": dict(n=12, seed=3, blanks=3, after=False),
+    "n12-chain-lower": dict(n=12, seed=4, kind="chain-lower"),
+    "n16-labelled-trailing-blanks": dict(n=16, seed=5, blanks=2),
+    "n16-unlabelled-no-blank": dict(n=16, seed=6, labelled=False, blanks=0),
+    "n16-chain-lower": dict(n=16, seed=7, kind="chain-lower"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MASK_ORDER_CASES))
+def test_mask_order_table_reads_as_the_row_loop(case, monkeypatch):
+    """Each table parses to what the row loop reads from the same rows, the
+    last one respelled with a trailing comment, into the same dict order."""
+    lines = _mask_order_spec(**MASK_ORDER_CASES[case])
+    last = max(i for i, line in enumerate(lines) if line.startswith("  {"))
+    respelled = list(lines)
+    respelled[last] += "  # the top"
+    fast, fast_items = _outcome(lines), _table_items(lines)
+    assert fast == _outcome(respelled)
+    assert fast_items == _table_items(respelled)
+    assert [mask for mask, _ in fast_items] == list(range(len(fast_items)))
+    _row_loop(monkeypatch)
+    assert fast == _outcome(lines)
+    assert fast_items == _table_items(lines)
+
+
+def _deviate(lines: list[str], row: int, how: str) -> list[str]:
+    """`lines` with one deviation at table row `row` (mask order)."""
+    lines = list(lines)
+    i = next(i for i, line in enumerate(lines) if line.startswith("measure")) + 1 + row
+    subset, value = lines[i].split()
+    if how == "blank-line":
+        lines.insert(i, "")
+    elif how == "comment":
+        lines[i] += " # note"
+    elif how == "rank-token":
+        lines[i] = f"  {subset} rank:{value[1:]}"
+    elif how == "tab":
+        lines[i] = f"  {subset}\t{value}"
+    elif how == "blank-in-braces":
+        lines[i] = "  { " + subset[1:] + " " + value
+    elif how == "swapped":
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    elif how == "missing":
+        del lines[i]
+    elif how == "repeated":
+        lines[i + 1] = lines[i]
+    elif how == "no-subset":  # a bare label, which a prefix must not pass
+        lines[i] = f"  {value}"
+    elif how == "unknown-label":
+        lines[i] = f"  {subset} v999"
+    elif how == "non-monotone":  # the top on a set, the bottom on the next
+        lines[i] = f"  {subset} v{SCALE_POINTS - 1}"
+        lines[i + 1] = f"  {lines[i + 1].split()[0]} v0"
+    elif how == "wrong-top":
+        lines[i] = f"  {subset} v{SCALE_POINTS - 2}"
+    return lines
+
+
+HARMLESS = ("blank-line", "comment", "rank-token", "tab", "blank-in-braces", "swapped")
+DEVIATIONS = HARMLESS + ("missing", "repeated", "no-subset", "unknown-label", "non-monotone",
+                         "wrong-top")
+
+
+@pytest.mark.parametrize("how", DEVIATIONS)
+def test_mask_order_deviation_reads_as_the_row_loop(how, monkeypatch):
+    """One deviating row, in the first chunk, a middle one or the last,
+    gives the row loop's result or error: class, line and text.  Only a
+    harmless respelling leaves the table as it was."""
+    n = 12
+    base = _mask_order_spec(n, seed=8)
+    rows = [1, 1000, (1 << n) - 2]  # the first, a middle and the last chunk
+    if how == "wrong-top":
+        rows = [(1 << n) - 1]
+    cases = [_deviate(base, row, how) for row in rows]
+    fast = [_outcome(lines) for lines in cases]
+    _row_loop(monkeypatch)
+    assert fast == [_outcome(lines) for lines in cases]
+    assert (fast == [_outcome(base)] * len(rows)) == (how in HARMLESS)
+
+
+@pytest.mark.parametrize("n, labelled, blanks", [
+    (1, True, 0), (2, False, 1), (5, True, 2), (9, False, 0), (12, True, 1), (16, True, 2),
+])
+def test_mask_order_table_skips_the_row_reader(n, labelled, blanks, monkeypatch):
+    """A full table in mask order never reaches `_Block.rows()`; the same
+    table with one comment reaches it once, from its first row."""
+    reads = []
+    rows = specfile._Block.rows
+
+    def counted(self):
+        reads.append(self.line)
+        return rows(self)
+
+    monkeypatch.setattr(specfile._Block, "rows", counted)
+    lines = _mask_order_spec(n, seed=n, labelled=labelled, blanks=blanks)
+    header = next(i for i, line in enumerate(lines) if line.startswith("measure")) + 1
+    sf = parse("\n".join(lines) + "\n")
+    assert sf.measures["mu"].is_total()
+    assert header not in reads
+    reads.clear()
+    lines[header + (1 << n) - 1] += " # the top"
+    assert parse("\n".join(lines) + "\n") == sf
+    assert reads.count(header) == 1
