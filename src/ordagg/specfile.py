@@ -284,11 +284,13 @@ def _rows(
     return values
 
 
-def _mask_order_table(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, int] | None:
-    """A full table written in the order of `ground.subsets()`, or None.
+def _full_table(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, int] | None:
+    """A full table written in mask order or by size then mask, or None.
 
-    Row k of such a table, stripped, is the spelling of mask k, one space
-    and a label, so it is read without splitting names: each chunk of
+    These are the orders of `ground.subsets()` and of `format_specfile`;
+    they part at row 3, `{a,b}` or `{c}`.  Each row, stripped, is then the
+    spelling of a known mask, one space and a label, so it is read without
+    splitting names.  The rows are taken in mask order, and each chunk of
     2**(n//2) rows sharing their high elements is checked against its
     spellings (the low ones with the chunk's tail) and resolved in C-level
     passes, one chunk of spellings at a time.  Trailing blank lines are
@@ -302,13 +304,19 @@ def _mask_order_table(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, i
     n = ground.size
     if end - start != 1 << n:
         return None
+    order = None
+    if n > 2 and lines[start + 3].lstrip().startswith("{" + ground.elements[2] + "} "):
+        # by size: read the rows in mask order, and give the dict back in row order
+        order = sorted(range(1 << n), key=int.bit_count)  # row -> mask
+        by_row = lines[start:end]
+        lines, start = list(map(by_row.__getitem__, sorted(range(1 << n), key=order.__getitem__))), 0
     low = n // 2
     width = 1 << low
     closed = ["{" + ",".join(ground.members(j)) for j in range(width)]
     opens = [head + "," for head in closed]
     opens[0] = "{"  # the empty low set takes the tail without a comma
     rank_index = scale._rank_index
-    table: dict[int, int] = {}
+    ranks: list[int] = []  # by mask
     for first in range(0, 1 << n, width):
         if first:
             tail = ",".join(ground.members(first)) + "} "
@@ -319,26 +327,25 @@ def _mask_order_table(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, i
         if not all(map(str.startswith, rows, heads)):
             return None
         try:
-            table.update(zip(
-                range(first, first + width),
-                map(rank_index.__getitem__, map(str.removeprefix, rows, heads)),
-            ))
+            ranks.extend(map(rank_index.__getitem__, map(str.removeprefix, rows, heads)))
         except KeyError:
             return None
-    return table
+    if order is None:
+        return dict(zip(range(1 << n), ranks))
+    return dict(zip(order, map(ranks.__getitem__, order)))
 
 
 def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, int]:
     """A measure's rows as a subset -> rank table.
 
-    A full table in mask order is read by `_mask_order_table`.  Otherwise a
+    A full table in mask order or by size is read by `_full_table`.  Otherwise a
     row spelled `{a,b} label` (one space, no blanks inside the braces,
     a label or an unlabelled rank) resolves here; any other spelling takes
     the subset pattern and `_parse_rank`, which raise every row error.  No
     label starts with `rank:`, so rank tokens always take that path.  The
     first repeated subset is raised after the last row, so a row error wins.
     """
-    table = _mask_order_table(b, ground, scale)
+    table = _full_table(b, ground, scale)
     if table is not None:
         return table
     bits = ground._bits

@@ -376,16 +376,17 @@ def test_canonical_measure_rows_skip_the_general_path(monkeypatch):
     assert sorted(calls) == [i + 1 for i in picked]
 
 
-# A full table written in mask order is read by `_mask_order_table`; any
-# other body by the row loop.  The tables are additive (seeded weights,
+# A full table written in mask order or by size then mask is read by
+# `_full_table`; any other body by the row loop.  The tables are additive (seeded weights,
 # capped at the top), so they are monotone and take many values.
 SCALE_POINTS = 21
 
 
-def _mask_order_spec(n: int, seed: int, labelled: bool = True, kind: str = "table",
-                     blanks: int = 1, after: bool = True) -> list[str]:
-    """A spec's lines: a mask-order table `mu` on e0..e(n-1), `blanks`
-    blank lines, and, if `after`, a function block."""
+def _table_spec(n: int, seed: int, labelled: bool = True, kind: str = "table",
+                blanks: int = 1, after: bool = True, by_size: bool = False) -> list[str]:
+    """A spec's lines: a full table `mu` on e0..e(n-1), in mask order or,
+    if `by_size`, in `format_specfile`'s order, `blanks` blank lines, and,
+    if `after`, a function block."""
     rng = random.Random(f"mask-order:{n}:{seed}")
     top = SCALE_POINTS - 1
     weights = [rng.randint(1, max(1, 3 * top // n)) for _ in range(n)]
@@ -401,8 +402,9 @@ def _mask_order_spec(n: int, seed: int, labelled: bool = True, kind: str = "tabl
     if labelled:
         lines.append("labels m " + " ".join(label))
     lines += ["omega " + " ".join(names), f"measure mu scale=m kind={kind}"]
-    for a, v in enumerate(table):
-        lines.append("  {" + ",".join(names[i] for i in range(n) if a >> i & 1) + "} " + label[v])
+    for a in sorted(range(1 << n), key=int.bit_count) if by_size else range(1 << n):
+        lines.append("  {" + ",".join(names[i] for i in range(n) if a >> i & 1) + "} "
+                     + label[table[a]])
     lines += [""] * blanks
     if after:
         lines.append("function f scale=m")
@@ -429,11 +431,11 @@ def _table_items(lines: list[str]) -> list[tuple[int, int]]:
 
 
 def _row_loop(monkeypatch):
-    """Send every block to the row loop, as if no table were in mask order."""
-    monkeypatch.setattr(specfile, "_mask_order_table", lambda b, ground, scale: None)
+    """Send every block to the row loop, as if no table were full and in order."""
+    monkeypatch.setattr(specfile, "_full_table", lambda b, ground, scale: None)
 
 
-MASK_ORDER_CASES = {
+FULL_TABLE_CASES = {
     "n12-labelled": dict(n=12, seed=1),
     "n12-unlabelled": dict(n=12, seed=2, labelled=False),
     "n12-last-block-trailing-blanks": dict(n=12, seed=3, blanks=3, after=False),
@@ -441,28 +443,36 @@ MASK_ORDER_CASES = {
     "n16-labelled-trailing-blanks": dict(n=16, seed=5, blanks=2),
     "n16-unlabelled-no-blank": dict(n=16, seed=6, labelled=False, blanks=0),
     "n16-chain-lower": dict(n=16, seed=7, kind="chain-lower"),
+    "n12-by-size": dict(n=12, seed=9, by_size=True),
+    "n12-by-size-chain-lower": dict(n=12, seed=10, kind="chain-lower", by_size=True),
+    "n16-by-size-unlabelled-trailing-blanks": dict(n=16, seed=11, labelled=False, blanks=2,
+                                                   by_size=True),
 }
 
 
-@pytest.mark.parametrize("case", sorted(MASK_ORDER_CASES))
-def test_mask_order_table_reads_as_the_row_loop(case, monkeypatch):
+@pytest.mark.parametrize("case", sorted(FULL_TABLE_CASES))
+def test_full_table_reads_as_the_row_loop(case, monkeypatch):
     """Each table parses to what the row loop reads from the same rows, the
     last one respelled with a trailing comment, into the same dict order."""
-    lines = _mask_order_spec(**MASK_ORDER_CASES[case])
+    spec = FULL_TABLE_CASES[case]
+    lines = _table_spec(**spec)
     last = max(i for i, line in enumerate(lines) if line.startswith("  {"))
     respelled = list(lines)
     respelled[last] += "  # the top"
     fast, fast_items = _outcome(lines), _table_items(lines)
     assert fast == _outcome(respelled)
     assert fast_items == _table_items(respelled)
-    assert [mask for mask, _ in fast_items] == list(range(len(fast_items)))
+    masks = range(1 << spec["n"])
+    if spec.get("by_size"):
+        masks = sorted(masks, key=int.bit_count)
+    assert [mask for mask, _ in fast_items] == list(masks)
     _row_loop(monkeypatch)
     assert fast == _outcome(lines)
     assert fast_items == _table_items(lines)
 
 
 def _deviate(lines: list[str], row: int, how: str) -> list[str]:
-    """`lines` with one deviation at table row `row` (mask order)."""
+    """`lines` with one deviation at table row `row`."""
     lines = list(lines)
     i = next(i for i, line in enumerate(lines) if line.startswith("measure")) + 1 + row
     subset, value = lines[i].split()
@@ -499,13 +509,14 @@ DEVIATIONS = HARMLESS + ("missing", "repeated", "no-subset", "unknown-label", "n
                          "wrong-top")
 
 
+@pytest.mark.parametrize("by_size", [False, True])
 @pytest.mark.parametrize("how", DEVIATIONS)
-def test_mask_order_deviation_reads_as_the_row_loop(how, monkeypatch):
+def test_full_table_deviation_reads_as_the_row_loop(how, by_size, monkeypatch):
     """One deviating row, in the first chunk, a middle one or the last,
     gives the row loop's result or error: class, line and text.  Only a
     harmless respelling leaves the table as it was."""
     n = 12
-    base = _mask_order_spec(n, seed=8)
+    base = _table_spec(n, seed=8, by_size=by_size)
     rows = [1, 1000, (1 << n) - 2]  # the first, a middle and the last chunk
     if how == "wrong-top":
         rows = [(1 << n) - 1]
@@ -516,12 +527,15 @@ def test_mask_order_deviation_reads_as_the_row_loop(how, monkeypatch):
     assert (fast == [_outcome(base)] * len(rows)) == (how in HARMLESS)
 
 
+@pytest.mark.parametrize("by_size", [False, True])
 @pytest.mark.parametrize("n, labelled, blanks", [
-    (1, True, 0), (2, False, 1), (5, True, 2), (9, False, 0), (12, True, 1), (16, True, 2),
+    (1, True, 0), (2, False, 1), (3, True, 0), (5, True, 2), (9, False, 0), (12, True, 1),
+    (16, True, 2),
 ])
-def test_mask_order_table_skips_the_row_reader(n, labelled, blanks, monkeypatch):
-    """A full table in mask order never reaches `_Block.rows()`; the same
-    table with one comment reaches it once, from its first row."""
+def test_full_table_skips_the_row_reader(n, labelled, blanks, by_size, monkeypatch):
+    """A full table in mask order or by size, and `format_specfile`'s
+    text of it, never reach `_Block.rows()`; the same table with one
+    comment reaches it once, from its first row."""
     reads = []
     rows = specfile._Block.rows
 
@@ -530,11 +544,15 @@ def test_mask_order_table_skips_the_row_reader(n, labelled, blanks, monkeypatch)
         return rows(self)
 
     monkeypatch.setattr(specfile._Block, "rows", counted)
-    lines = _mask_order_spec(n, seed=n, labelled=labelled, blanks=blanks)
+    lines = _table_spec(n, seed=n, labelled=labelled, blanks=blanks, by_size=by_size)
     header = next(i for i, line in enumerate(lines) if line.startswith("measure")) + 1
     sf = parse("\n".join(lines) + "\n")
     assert sf.measures["mu"].is_total()
     assert header not in reads
+    printed = format_specfile(sf).splitlines()
+    reads.clear()
+    assert parse("\n".join(printed) + "\n") == sf
+    assert printed.index("measure mu scale=m kind=table") + 1 not in reads
     reads.clear()
     lines[header + (1 << n) - 1] += " # the top"
     assert parse("\n".join(lines) + "\n") == sf
