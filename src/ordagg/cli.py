@@ -207,7 +207,7 @@ def _cmd_eval_sym(sf: SpecFile, args) -> None:
     m = _measure(sf, args)
     f = _pick(sf.functions, args.function, "function")
     ell = _pick(sf.comms, args.comm, "comm")
-    k = _pick(sf.comms, args.comm_neg, "comm-neg") if args.comm_neg else None
+    k = _pick(sf.comms, args.comm_neg, "comm-neg") if args.comm_neg is not None else None
     r = agg.symmetric_fan_sugeno(m, f, ell, k, args.variant)
     print(f"interval={format_rinterval(r)} sup={r.chain.label(r.hi)}")
 

@@ -211,10 +211,6 @@ class Measure(_Frozen):
     def ground(self) -> GroundSet:
         return self.family.ground
 
-    def _by_mask(self) -> tuple[int, ...]:
-        """The table over the full powerset, indexed by mask."""
-        return self._table
-
     def is_total(self) -> bool:
         return self.family.is_full()
 
@@ -461,7 +457,7 @@ def is_minitive(m: Measure) -> bool:
     """
     _require_total(m, "minitivity check")
     coatoms = [m.ground.full_mask ^ 1 << i for i in range(m.ground.size)]
-    return _swept(m, m._by_mask(), coatoms, m.scale.size - 1, _lower_sweep)
+    return _swept(m, m._table, coatoms, m.scale.size - 1, _lower_sweep)
 
 
 def is_maxitive(m: Measure) -> bool:
@@ -469,7 +465,7 @@ def is_maxitive(m: Measure) -> bool:
     packed join sweep of the values at the singletons."""
     _require_total(m, "maxitivity check")
     atoms = [1 << i for i in range(m.ground.size)]
-    return _swept(m, m._by_mask(), atoms, 0, _upper_sweep)
+    return _swept(m, m._table, atoms, 0, _upper_sweep)
 
 
 def minitive_chain(m: Measure) -> list[int]:
@@ -482,7 +478,7 @@ def minitive_chain(m: Measure) -> list[int]:
     verified before returning.  The table is read once, for all three.
     """
     _require_total(m, "minitivity check")
-    full, table = m.ground.full_mask, m._by_mask()
+    full, table = m.ground.full_mask, m._table
     coatoms = [full ^ 1 << i for i in range(m.ground.size)]
     if not _swept(m, table, coatoms, m.scale.size - 1, _lower_sweep):
         raise DomainError("measure is not minitive")
@@ -497,14 +493,14 @@ def minitive_chain(m: Measure) -> list[int]:
 def verify_chain(m: Measure, sets, kind: str) -> bool:
     """Whether rebuilding from the restriction to the chain reproduces m."""
     _require_total(m, "chain verification")
-    return _rebuilds(m, m._by_mask(), sets, kind)
+    return _rebuilds(m, m._table, sets, kind)
 
 
 def _rebuilds(m: Measure, table: tuple[int, ...], sets, kind: str) -> bool:
     """`verify_chain` against m's table indexed by mask."""
     ordered = _validate_chain_sets(m.ground, list(sets))
     rebuilt = chain_measure(m.ground, m.scale, ordered, [table[s] for s in ordered], kind)
-    return rebuilt._by_mask() == table
+    return rebuilt._table == table
 
 
 def sign_measure(m: Measure) -> Measure:

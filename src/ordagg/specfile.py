@@ -285,18 +285,17 @@ def _rows(
 
 
 def _full_table(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, int] | None:
-    """A full table written in mask order or by size then mask, or None.
+    """A full table written in mask order, or None.
 
-    These are the orders of `ground.subsets()` and of `format_specfile`;
-    they part at row 3, `{a,b}` or `{c}`.  Each row, stripped, is then the
-    spelling of a known mask, one space and a label, so it is read without
-    splitting names.  The rows are taken in mask order, and each chunk of
+    This is the order of `ground.subsets()` and of `format_specfile`.
+    Each row, stripped, is then the spelling of a known mask, one space
+    and a label, so it is read without splitting names.  Each chunk of
     2**(n//2) rows sharing their high elements is checked against its
     spellings (the low ones with the chunk's tail) and resolved in C-level
     passes, one chunk of spellings at a time.  Trailing blank lines are
-    allowed; any other blank, comment or spelling gives None, and the row
-    loop reads the block from its first row.  No name or label holds `#`,
-    so a row with a comment never matches.
+    allowed; any other blank, comment, spelling or order gives None, and
+    the row loop reads the block from its first row.  No name or label
+    holds `#`, so a row with a comment never matches.
     """
     lines, start, end = b.lines, b.line, b.end
     while end > start and not lines[end - 1].strip():
@@ -304,12 +303,6 @@ def _full_table(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, int] | 
     n = ground.size
     if end - start != 1 << n:
         return None
-    order = None
-    if n > 2 and lines[start + 3].lstrip().startswith("{" + ground.elements[2] + "} "):
-        # by size: read the rows in mask order, and give the dict back in row order
-        order = sorted(range(1 << n), key=int.bit_count)  # row -> mask
-        by_row = lines[start:end]
-        lines, start = list(map(by_row.__getitem__, sorted(range(1 << n), key=order.__getitem__))), 0
     low = n // 2
     width = 1 << low
     closed = ["{" + ",".join(ground.members(j)) for j in range(width)]
@@ -330,15 +323,13 @@ def _full_table(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, int] | 
             ranks.extend(map(rank_index.__getitem__, map(str.removeprefix, rows, heads)))
         except KeyError:
             return None
-    if order is None:
-        return dict(zip(range(1 << n), ranks))
-    return dict(zip(order, map(ranks.__getitem__, order)))
+    return dict(zip(range(1 << n), ranks))
 
 
 def _measure_rows(b: _Block, ground: GroundSet, scale: Chain) -> dict[int, int]:
     """A measure's rows as a subset -> rank table.
 
-    A full table in mask order or by size is read by `_full_table`.  Otherwise a
+    A full table in mask order is read by `_full_table`.  Otherwise a
     row spelled `{a,b} label` (one space, no blanks inside the braces,
     a label or an unlabelled rank) resolves here; any other spelling takes
     the subset pattern and `_parse_rank`, which raise every row error.  No
@@ -504,7 +495,7 @@ def format_specfile(sf: SpecFile) -> str:
     for name, m in sf.measures.items():
         scale_name = m.scale.id
         out.append(f"measure {name} scale={scale_name} kind=table")
-        for mask in sorted(m.values, key=lambda a: (a.bit_count(), a)):
+        for mask in sorted(m.values):
             out.append(
                 f"  {m.ground.format_mask(mask)} {m.scale.label(m.values[mask])}"
             )

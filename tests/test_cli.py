@@ -120,6 +120,13 @@ class TestSignedCommands:
         )
         assert out == "interval=-[0.25,0.5] sup=-0.25\n"
 
+    def test_eval_sym_empty_comm_neg_is_unknown(self, capsys):
+        # an empty name is a name given, as for --comm, not the --comm default
+        argv = ["eval-sym", SIGNED, "--measure", "mu", "--function", "f", "--comm", "id",
+                "--comm-neg", ""]
+        assert run(argv) == 3
+        assert capsys.readouterr() == ("", "error: unknown comm-neg ''\n")
+
     def test_eval_asym(self, capsys):
         out = run_ok(
             capsys,
@@ -698,6 +705,39 @@ def test_option_error_text_is_pinned(case, capsys):
     argv, message = OPTION_CASES[case]
     assert run(argv) == 3
     assert capsys.readouterr() == ("", message + "\n")
+
+
+# An empty name is a name given: every option that names a spec entry looks
+# it up, so '' is unknown (exit 3), never taken as missing or as a default.
+EMPTY_NAME_CASES = {
+    "check-measure": ["check", SIGNED, "--measure", "", "--property", "minitive"],
+    "check-function": ["check", SIGNED, "--measure", "mu", "--function", "",
+                       "--property", "nullfunction"],
+    "chain-verify-measure": ["chain-verify", SIGNED, "--measure", "", "--kind", "lower"],
+    "distribution-function": ["distribution", SIGNED, "--measure", "mu", "--function", ""],
+    "quantile-function": ["quantile", SIGNED, "--measure", "mu", "--function", ""],
+    "eval-comm": ["eval", SIGNED, "--measure", "mu", "--function", "f", "--comm", ""],
+    "eval-dual-comm": ["eval-dual", SIGNED, "--measure", "mu", "--function", "f",
+                       "--comm", ""],
+    "eval-sym-measure": ["eval-sym", SIGNED, "--measure", "", "--function", "f",
+                         "--comm", "id"],
+    "eval-asym-comm-neg": ["eval-asym", SIGNED, "--measure", "mu", "--function", "f",
+                           "--comm-neg", "", "--comm-pos", "lpos"],
+    "eval-asym-comm-pos": ["eval-asym", SIGNED, "--measure", "mu", "--function", "f",
+                           "--comm-neg", "lneg", "--comm-pos", ""],
+    "distance-other": ["distance", SIGNED, "--measure", "mu", "--function", "f",
+                       "--other", "", "--comm", "id"],
+    "norm-comm": ["norm", SIGNED, "--measure", "mu", "--function", "f", "--kind", "comm",
+                  "--comm", ""],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_NAME_CASES))
+def test_empty_name_is_unknown(case, capsys):
+    argv = EMPTY_NAME_CASES[case]
+    what = argv[argv.index("") - 1].removeprefix("--")
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", f"error: unknown {what} ''\n")
 
 
 EXTEND_SPEC = (

@@ -376,17 +376,18 @@ def test_canonical_measure_rows_skip_the_general_path(monkeypatch):
     assert sorted(calls) == [i + 1 for i in picked]
 
 
-# A full table written in mask order or by size then mask is read by
-# `_full_table`; any other body by the row loop.  The tables are additive (seeded weights,
-# capped at the top), so they are monotone and take many values.
+# A full table written in mask order is read by `_full_table`; any other
+# body, one by size then mask included, by the row loop.  The tables are
+# additive (seeded weights, capped at the top), so they are monotone and
+# take many values.
 SCALE_POINTS = 21
 
 
 def _table_spec(n: int, seed: int, labelled: bool = True, kind: str = "table",
                 blanks: int = 1, after: bool = True, by_size: bool = False) -> list[str]:
     """A spec's lines: a full table `mu` on e0..e(n-1), in mask order or,
-    if `by_size`, in `format_specfile`'s order, `blanks` blank lines, and,
-    if `after`, a function block."""
+    if `by_size`, by size then mask (the order an older `format_specfile`
+    printed), `blanks` blank lines, and, if `after`, a function block."""
     rng = random.Random(f"mask-order:{n}:{seed}")
     top = SCALE_POINTS - 1
     weights = [rng.randint(1, max(1, 3 * top // n)) for _ in range(n)]
@@ -428,6 +429,19 @@ def _table_items(lines: list[str]) -> list[tuple[int, int]]:
     specfile._build_ground(sf, blocks)
     b = next(b for b in blocks if b.kind == "measure")
     return list(specfile._measure_rows(b, sf.ground, sf.scales["m"]).items())
+
+
+def _counted_row_reads(monkeypatch) -> list[int]:
+    """The header line of each block, each time `_Block.rows()` is entered."""
+    reads = []
+    rows = specfile._Block.rows
+
+    def counted(self):
+        reads.append(self.line)
+        return rows(self)
+
+    monkeypatch.setattr(specfile._Block, "rows", counted)
+    return reads
 
 
 def _row_loop(monkeypatch):
@@ -509,14 +523,13 @@ DEVIATIONS = HARMLESS + ("missing", "repeated", "no-subset", "unknown-label", "n
                          "wrong-top")
 
 
-@pytest.mark.parametrize("by_size", [False, True])
 @pytest.mark.parametrize("how", DEVIATIONS)
-def test_full_table_deviation_reads_as_the_row_loop(how, by_size, monkeypatch):
+def test_full_table_deviation_reads_as_the_row_loop(how, monkeypatch):
     """One deviating row, in the first chunk, a middle one or the last,
     gives the row loop's result or error: class, line and text.  Only a
     harmless respelling leaves the table as it was."""
     n = 12
-    base = _table_spec(n, seed=8, by_size=by_size)
+    base = _table_spec(n, seed=8)
     rows = [1, 1000, (1 << n) - 2]  # the first, a middle and the last chunk
     if how == "wrong-top":
         rows = [(1 << n) - 1]
@@ -533,22 +546,16 @@ def test_full_table_deviation_reads_as_the_row_loop(how, by_size, monkeypatch):
     (16, True, 2),
 ])
 def test_full_table_skips_the_row_reader(n, labelled, blanks, by_size, monkeypatch):
-    """A full table in mask order or by size, and `format_specfile`'s
-    text of it, never reach `_Block.rows()`; the same table with one
-    comment reaches it once, from its first row."""
-    reads = []
-    rows = specfile._Block.rows
-
-    def counted(self):
-        reads.append(self.line)
-        return rows(self)
-
-    monkeypatch.setattr(specfile._Block, "rows", counted)
+    """A full table in mask order, and `format_specfile`'s text of it,
+    never reach `_Block.rows()`; by size, it reaches it once from n = 3,
+    where the two orders part.  The table with one comment reaches it
+    once, from its first row."""
+    reads = _counted_row_reads(monkeypatch)
     lines = _table_spec(n, seed=n, labelled=labelled, blanks=blanks, by_size=by_size)
     header = next(i for i, line in enumerate(lines) if line.startswith("measure")) + 1
     sf = parse("\n".join(lines) + "\n")
     assert sf.measures["mu"].is_total()
-    assert header not in reads
+    assert reads.count(header) == (by_size and n > 2)
     printed = format_specfile(sf).splitlines()
     reads.clear()
     assert parse("\n".join(printed) + "\n") == sf
@@ -557,3 +564,38 @@ def test_full_table_skips_the_row_reader(n, labelled, blanks, by_size, monkeypat
     lines[header + (1 << n) - 1] += " # the top"
     assert parse("\n".join(lines) + "\n") == sf
     assert reads.count(header) == 1
+
+
+def test_full_table_by_size_reads_as_in_mask_order(monkeypatch):
+    """A full table by size then mask, as an older `format_specfile`
+    printed it, parses to the same spec as in mask order: it leaves the
+    fast path at its first chunk, and the row loop reads it once."""
+    reads = _counted_row_reads(monkeypatch)
+    in_mask_order = parse("\n".join(_table_spec(12, seed=12)) + "\n")
+    lines = _table_spec(12, seed=12, by_size=True)
+    header = next(i for i, line in enumerate(lines) if line.startswith("measure")) + 1
+    assert header not in reads
+    assert parse("\n".join(lines) + "\n") == in_mask_order
+    assert reads.count(header) == 1
+
+
+def test_format_specfile_prints_measure_rows_in_mask_order():
+    """Every measure block prints its rows in ascending mask order, the
+    order `_full_table` reads: a full table and a partial one, each given
+    out of that order, and a chain measure, printed as its full table."""
+    sf = parse(
+        "scale m 4\nomega a b c\n"
+        "measure full scale=m kind=table\n  {} 0\n  {a} 1\n  {b} 1\n  {c} 1\n"
+        "  {a,b} 2\n  {a,c} 2\n  {b,c} 2\n  {a,b,c} 3\n"
+        "measure part scale=m kind=table\n  {c} 1\n  {a,b} 2\n"
+        "measure low scale=m kind=chain-lower\n  {} 0\n  {c} 1\n  {b,c} 2\n  {a,b,c} 3\n"
+    )
+    blocks: dict[str, list[str]] = {}
+    for line in format_specfile(sf).splitlines():
+        if line.startswith("measure "):
+            rows = blocks[line.split()[1]] = []
+        elif line.startswith("  {"):
+            rows.append(line.split()[0])
+    powerset = ["{}", "{a}", "{b}", "{a,b}", "{c}", "{a,c}", "{b,c}", "{a,b,c}"]
+    assert blocks == {"full": powerset, "part": ["{}", "{a,b}", "{c}", "{a,b,c}"],
+                      "low": powerset}
