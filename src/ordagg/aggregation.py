@@ -84,6 +84,7 @@ class CommFn(_Frozen):
         self._set("src", src)
         self._set("dst", dst)
         self._set("values", values)
+        self._set("_corr", None)  # the graph, built by the first `as_corr`
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -93,13 +94,19 @@ class CommFn(_Frozen):
     def __hash__(self):
         return hash((self.src, self.dst, self.values))
 
+    def __reduce__(self):  # the graph is not a field: a copy builds its own
+        return CommFn, (self.src, self.dst, self.values)
+
     def __call__(self, p: int) -> int:
         if type(p) is not int or not 0 <= p < self.src.size:
             raise DomainError(f"point {p} outside chain {self.src.id!r}")
         return self.values[p]
 
     def as_corr(self) -> Corr:
-        return _graph(self.src, self.dst, self.values)
+        """The graph, built on the first call; later calls return it again."""
+        if self._corr is None:
+            self._set("_corr", _graph(self.src, self.dst, self.values))
+        return self._corr
 
     @classmethod
     def identity(cls, src: Chain, dst: Chain | None = None) -> "CommFn":

@@ -10,7 +10,8 @@ here drive the aggregation functionals.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from operator import attrgetter
+from itertools import compress, groupby, repeat
+from operator import add, attrgetter, ne, sub
 from types import MappingProxyType
 
 from .chains import Chain, ChainElem, bad_ranks
@@ -176,20 +177,40 @@ def inverse(c: Corr) -> Corr:
 
     For monotone input the transpose is interval-valued; a transpose with
     gaps (possible for non-monotone tables) is rejected at its lowest gap.
+    Each run of consecutive domain points with one value is filed once.
+    `groupby` matches two neighbours that are one object in C and calls
+    `Interval.__eq__` only where the object changes, so a graph from
+    `_graph` or `_saturation`, which share one object per value, costs a
+    few C-level passes plus one Python step per run; a table of separately
+    built values still costs an `__eq__` call per point.  (Grouping by
+    `id` would skip those calls, but its call per point added about
+    100 µs over 3,001 points of a one-object-per-value graph.)
     """
-    covers: dict[int, list[int]] = {}
-    for x, iv in c.table.items():
-        for y in iv.elements():
-            covers.setdefault(y, []).append(x)
-    table: dict[int, Interval] = {}
-    for y, xs in sorted(covers.items()):
-        lo, hi = min(xs), max(xs)
-        if len(xs) != hi - lo + 1:
-            raise DomainError(
-                f"transpose at rank {y} is not an interval; input is not monotone"
-            )
-        table[y] = Interval(c.src, lo, hi)
-    return Corr(c.dst, c.src, table)
+    xs, runs, i = list(c.table), [], 0
+    for iv, same in groupby(c.table.values()):
+        j = i + len(list(same))
+        if xs[i:j] == list(range(xs[i], xs[i] + j - i)):
+            runs.append((xs[i], xs[j - 1] + 1, iv))
+        else:  # a gap or a point out of order: each point is a run
+            runs += [(x, x + 1, iv) for x in xs[i:j]]
+        i = j
+    # per destination rank: the lowest and one past the highest preimage
+    # point, and their number; right to left, so the last `lo` is the lowest
+    lo, end, count = [0] * c.dst.size, [0] * c.dst.size, [0] * c.dst.size
+    for x_lo, x_end, iv in sorted(runs, reverse=True):
+        a, b = iv.lo, iv.hi + 1
+        lo[a:b] = [x_lo] * (b - a)
+        end[a:b] = map(max, end[a:b], repeat(x_end))
+        count[a:b] = map(add, count[a:b], repeat(x_end - x_lo))
+    ys = list(compress(range(c.dst.size), count))
+    los, ends = list(map(lo.__getitem__, ys)), list(map(end.__getitem__, ys))
+    for y in compress(ys, map(ne, map(sub, ends, los), map(count.__getitem__, ys))):
+        raise DomainError(
+            f"transpose at rank {y} is not an interval; input is not monotone"
+        )
+    spans = list(zip(los, ends))
+    single = {s: Interval(c.src, s[0], s[1] - 1) for s in set(spans)}
+    return Corr(c.dst, c.src, dict(zip(ys, map(single.__getitem__, spans))))
 
 
 def _require_total(c: Corr, role: str) -> None:

@@ -37,7 +37,10 @@ class _Frozen:
 
     A subclass's `__init__` checks its arguments, then stores each field,
     normalised, with `_set`, in order; nothing assigns them after that.
-    A field's name has no leading underscore.  Each subclass compares and
+    A field's name has no leading underscore.  A private slot, reserved in
+    `__init__` after the fields, holds what is derived from them (a
+    comm's graph, built on first use); it is not printed, compared, hashed
+    or pickled, so such a class has a `__reduce__`.  Each subclass compares and
     hashes the tuple of its fields (a `Corr` hashes only its two chains)
     in an `__eq__` and a `__hash__` of its own, written out: a shared one
     would read `vars(self)`, and a `__dict__` built for a value after its

@@ -45,6 +45,7 @@ from ordagg import (
     topkis_leq,
     unanimity,
 )
+from ordagg.correspondences import _graph
 from helpers import (
     join_fn,
     meet_fn,
@@ -143,6 +144,13 @@ class TestTables:
         assert (f(0), f(1)) == (6, 2)
         ell = CommFn(Chain("c3", 3), GRID11, (0, 4, 10))
         assert [ell(p) for p in range(3)] == [0, 4, 10]
+
+    def test_comm_graph_is_built_once(self):
+        src = Chain("c3", 3)
+        ell = CommFn(src, GRID11, (0, 4, 10))
+        graph = ell.as_corr()
+        assert ell.as_corr() is graph
+        assert graph == _graph(src, GRID11, (0, 4, 10))
 
     def test_length_errors(self):
         with pytest.raises(DomainError, match="^function table must cover the whole ground set$"):

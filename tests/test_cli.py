@@ -780,16 +780,47 @@ PROCESS_CASES = {
 }
 
 
+def run_module(argv: list[str]) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "ordagg.cli", *argv],
+        capture_output=True, encoding="utf-8", timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 @pytest.mark.parametrize("code", sorted(PROCESS_CASES))
 def test_module_entry_point_exit_code(code, tmp_path):
     text, argv, out, err = PROCESS_CASES[code]
     spec = tmp_path / "case.spec"
     spec.write_text(text, encoding="utf-8")
-    argv = [a.format(e1=E1, spec=spec) for a in argv]
-    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, "-m", "ordagg.cli", *argv],
-        capture_output=True, encoding="utf-8", timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    done = run_module([a.format(e1=E1, spec=spec) for a in argv])
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+# (argv, exit code, start of the last stderr line): argparse rejects a
+# usage error with its usage text and exit code 2, the code of a
+# validation error; an option that only some queries need is checked by
+# the query, which exits 3
+USAGE_CASES = {
+    "unknown-subcommand": (["frobnicate", "{e1}"], 2,
+                           "ordagg: error: argument command: invalid choice: 'frobnicate'"),
+    "eval-without-function": (["eval", "{e1}", "--measure", "mu", "--comm", "id"], 2,
+                              "ordagg eval: error: the following arguments are required: "
+                              "--function"),
+    "check-property-without-measure": (["check", "{e1}", "--property", "minitive"], 3,
+                                       "error: missing --measure"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_CASES))
+def test_usage_error_exit_code(case):
+    argv, code, last = USAGE_CASES[case]
+    done = run_module([a.format(e1=E1) for a in argv])
+    lines = done.stderr.splitlines()
+    assert (done.returncode, done.stdout) == (code, "")
+    assert lines[-1].startswith(last)
+    if code == 2:
+        assert lines[0].startswith("usage: ordagg")
+    else:
+        assert done.stderr == last + "\n"

@@ -375,13 +375,18 @@ class TestFrozenValues:
         labels = ("lo", "mid", "hi")
         chain, half, carrier = Chain("c", 3, labels), ReflChain("r", 2), ReflChain("r", 2)
         ground = GroundSet(("a", "b"))
+        comm = CommFn(chain, chain, (0, 2, 2))
         assert chain.rank_of_label("mid") == 1 and ground.mask_of(["b"]) == 2
         assert half.srank_of_label("-1") == -1 and carrier.as_chain().size == 5
+        assert comm.as_corr().table[1] == Interval(chain, 2, 2)
         for built, fresh in ((chain, Chain("c", 3, labels)), (half, ReflChain("r", 2)),
-                             (half, carrier), (ground, GroundSet(("a", "b")))):
+                             (half, carrier), (ground, GroundSet(("a", "b"))),
+                             (comm, CommFn(Chain("c", 3, labels), chain, (0, 2, 2)))):
             assert built == fresh and fresh == built and hash(built) == hash(fresh)
             assert repr(built) == repr(fresh)
             assert pickle.loads(pickle.dumps(built)) == fresh
+        # the comm's pickle carries no graph: it is the pickle of a fresh comm
+        assert pickle.dumps(comm) == pickle.dumps(CommFn(chain, chain, (0, 2, 2)))
 
 
 class TestElementRanks:

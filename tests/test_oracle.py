@@ -106,19 +106,32 @@ class TestInverseOracle:
     def test_matches_inverse_random(self):
         rng = random.Random(17)
         raised = built = 0
-        for _ in range(600):
+        for _ in range(800):
             src = Chain("s", rng.randint(1, 8))
             dst = Chain("d", rng.randint(1, 8))
-            kind = rng.randrange(3)
+            kind = rng.randrange(4)
             if kind == 0:
                 # a total function, monotone only by chance
                 c = TotalFn(src, dst, rng.choices(range(dst.size), k=src.size)).as_corr()
             elif kind == 1:
                 c = rand_decreasing_corr(rng, src, dst)
-            else:
+            elif kind == 2:
                 # arbitrary intervals on a random part of the source
                 dom = [x for x in range(src.size) if rng.random() < 0.7]
                 c = Corr(src, dst, {x: rand_interval(rng, dst) for x in dom})
+            else:
+                # two or three shared objects in runs over a part of the
+                # source, so that one object often lies on both sides of a
+                # gap; some points hold an equal copy, and some tables list
+                # their points out of order
+                pool = [rand_interval(rng, dst) for _ in range(rng.randint(2, 3))]
+                dom = [x for x in range(src.size) if rng.random() < 0.7]
+                picks = sorted(rng.choices(pool, k=len(dom)), key=pool.index)
+                table = {x: iv if rng.random() < 0.8 else Interval(dst, iv.lo, iv.hi)
+                         for x, iv in zip(dom, picks)}
+                if rng.random() < 0.2:
+                    table = dict(rng.sample(list(table.items()), len(table)))
+                c = Corr(src, dst, table)
             got = _outcome(inverse, c)
             assert got == _outcome(oracle_inverse, c)
             if isinstance(got, str):
@@ -134,6 +147,14 @@ class TestInverseOracle:
         with pytest.raises(DomainError, match="at rank 1 "):
             inverse(c)
         with pytest.raises(DomainError, match="at rank 1 "):
+            oracle_inverse(c)
+        # one object at 0, 4 and 2, listed in that order: 4 - 0 is two
+        # steps, as for three consecutive points, but 1 and 3 are missing
+        iv = Interval(c5, 2, 3)
+        c = Corr(c5, c5, {0: iv, 4: iv, 2: iv})
+        with pytest.raises(DomainError, match="at rank 2 "):
+            inverse(c)
+        with pytest.raises(DomainError, match="at rank 2 "):
             oracle_inverse(c)
 
 
